@@ -5,8 +5,10 @@
 //! module can see the workloads, so it owns the other half: enumerate fault
 //! schedules ([`FaultPlan::from_seed`] seeds crossed with every
 //! [`TopologyKind`] preset and both fault-tolerant workloads), run each
-//! schedule with the happens-before checker enabled, and classify every
-//! outcome against the **recovery invariants**:
+//! schedule, and classify every outcome against the **recovery
+//! invariants**. Jacobi schedules run with the happens-before checker on;
+//! CG schedules run unchecked, because the checkpointed CG runner never
+//! enables the checker (see [`cg_problem`]). The invariants:
 //!
 //! 1. a completed run must reproduce the fault-free baseline bit for bit
 //!    (or, for degraded-mode schedules, the documented quorum result);
@@ -112,7 +114,10 @@ pub fn jacobi_config(topo: TopologyKind) -> StencilConfig {
     cfg
 }
 
-/// The CG problem every chaos schedule runs (tiny, `Full` mode, checker on).
+/// The CG problem every chaos schedule runs (tiny, `Full` mode). It asks
+/// for the checker, but the checkpointed CG runner ignores `check`: its
+/// schedules run unchecked, and the degraded-mode CG cases use their own
+/// unchecked problem.
 pub fn cg_problem(topo: TopologyKind) -> PoissonProblem {
     PoissonProblem::new(64, 62, CHAOS_ITERS, CHAOS_NODES)
         .with_topology(topo)
@@ -281,7 +286,7 @@ pub fn run_degraded_schedule(
         }
         ChaosWorkload::Cg => {
             let prob = PoissonProblem::new(18, 18, 8, CHAOS_NODES).with_topology(topo);
-            match cpufree_solvers::run_cpu_free_degraded(&prob, plan, ExecMode::Full, None) {
+            match cpufree_solvers::run_cpu_free_degraded(&prob, plan, ExecMode::Full) {
                 Ok(ex) => {
                     let err = ex.verify(&prob, plan);
                     degraded_outcome(
@@ -860,7 +865,7 @@ fn degraded_total(workload: ChaosWorkload, topo: TopologyKind, plan: &FaultPlan)
         }
         ChaosWorkload::Cg => {
             let prob = PoissonProblem::new(18, 18, 8, CHAOS_NODES).with_topology(topo);
-            cpufree_solvers::run_cpu_free_degraded(&prob, plan, ExecMode::Full, None)
+            cpufree_solvers::run_cpu_free_degraded(&prob, plan, ExecMode::Full)
                 .ok()
                 .map(|ex| ex.total)
         }

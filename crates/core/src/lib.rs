@@ -23,10 +23,12 @@
 
 mod alloc;
 mod launch;
+pub mod resilience;
 mod stats;
 mod watchdog;
 
 pub use alloc::TbAllocation;
 pub use launch::{launch_cpu_free, launch_cpu_free_dual, persistent_loop, LocalRendezvous};
+pub use resilience::{ControlPlane, Counts, Guard, Resilience, Resilient, Rollback};
 pub use stats::RunStats;
 pub use watchdog::{spawn_watchdog, WatchdogSpec};

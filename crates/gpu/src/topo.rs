@@ -873,10 +873,9 @@ impl Topology {
 ///
 /// [`Transport::charge`] *reserves* — calling it moves real link state and
 /// perturbs any concurrently simulated run. A `LinkClocks` instance lets a
-/// static analysis (the dace cost predictor) replay the exact cut-through
-/// charging arithmetic of [`Transport::charge_scaled`] — same wire
-/// rounding via [`CostModel::bw_time`], same head advancement, same
-/// queue-behind-earlier-traffic clamp — against private state.
+/// static analysis (the dace cost predictor) run the cut-through charging
+/// loop of [`Transport::charge_scaled`] — the same function, generic over
+/// link occupancy — against private state.
 #[derive(Debug, Clone)]
 pub struct LinkClocks {
     /// `busy[i]` mirrors link *i*'s `Resource` busy-until clock.
@@ -897,23 +896,14 @@ impl LinkClocks {
         now: SimTime,
         bw_scale: f64,
     ) -> SimDur {
-        let mut head = now;
-        let mut finish = now;
-        for (i, &idx) in topo.route_links(src, dst).iter().enumerate() {
-            let link = &topo.links[idx];
-            if i > 0 {
-                head += link.hop_latency;
-            }
-            let wire = CostModel::bw_time(bytes, link.gbps * bw_scale);
-            // Resource::reserve: start at max(arrival, busy_until), occupy
-            // for the serialization time, push busy_until to the end.
-            let start = head.max(self.busy[idx]);
-            let end = start + wire;
-            self.busy[idx] = end;
-            head = start;
-            finish = end;
-        }
-        finish.since(now)
+        let (route, busy) = (topo.route_links(src, dst), &mut self.busy);
+        let (links, scale) = (&topo.links, (bw_scale, 1.0));
+        cut_through(links, route, bytes, now, scale, |i, at, wire| {
+            // Resource::reserve, without its statistics.
+            let start = at.max(busy[i]);
+            busy[i] = start + wire;
+            (start, busy[i])
+        })
     }
 
     /// The mirrored busy-until clock of link `idx` (indices as in
@@ -921,6 +911,32 @@ impl LinkClocks {
     pub fn busy_until(&self, idx: usize) -> SimTime {
         self.busy[idx]
     }
+}
+
+/// Cut-through charging over a link sequence: the message head advances
+/// to hop *k+1* after that link's forwarding latency, and each link is
+/// occupied for its own serialization time. `occupy(idx, arrival, wire)`
+/// reserves link `idx` — the real `Resource` or a [`LinkClocks`] mirror —
+/// and returns the occupancy's `(start, end)`.
+fn cut_through(
+    links: &[Link],
+    route: &[usize],
+    bytes: u64,
+    now: SimTime,
+    (bw_scale, inv_bw): (f64, f64),
+    mut occupy: impl FnMut(usize, SimTime, SimDur) -> (SimTime, SimTime),
+) -> SimDur {
+    let mut head = now;
+    let mut finish = now;
+    for (i, &idx) in route.iter().enumerate() {
+        let link = &links[idx];
+        if i > 0 {
+            head += link.hop_latency;
+        }
+        let wire = CostModel::bw_time(bytes, link.gbps * bw_scale) * inv_bw;
+        (head, finish) = occupy(idx, head, wire);
+    }
+    finish.since(now)
 }
 
 /// Healed route tables keyed by the active dead-pair set, computed once
@@ -1010,32 +1026,18 @@ impl Transport {
         bw_scale: f64,
         inv_bw: f64,
     ) -> SimDur {
-        self.charge_route(self.topo.route(src, dst), bytes, now, bw_scale, inv_bw)
+        self.charge_route(self.topo.route(src, dst), bytes, now, (bw_scale, inv_bw))
     }
 
-    /// The cut-through charging core over an explicit link sequence (the
-    /// base route, or a healed route relayed through intermediate devices).
-    fn charge_route(
-        &self,
-        route: &[usize],
-        bytes: u64,
-        now: SimTime,
-        bw_scale: f64,
-        inv_bw: f64,
-    ) -> SimDur {
-        let mut head = now;
-        let mut finish = now;
-        for (i, &idx) in route.iter().enumerate() {
-            let link = &self.topo.links[idx];
-            if i > 0 {
-                head += link.hop_latency;
-            }
-            let wire = CostModel::bw_time(bytes, link.gbps * bw_scale) * inv_bw;
-            let r = link.res.reserve(head, wire);
-            head = r.start;
-            finish = r.end;
-        }
-        finish.since(now)
+    /// [`cut_through`] over an explicit link sequence (the base route, or
+    /// a healed route relayed through intermediate devices), reserving the
+    /// real link resources.
+    fn charge_route(&self, route: &[usize], bytes: u64, now: SimTime, scale: (f64, f64)) -> SimDur {
+        let links = &self.topo.links;
+        cut_through(links, route, bytes, now, scale, |idx, at, wire| {
+            let r = links[idx].res.reserve(at, wire);
+            (r.start, r.end)
+        })
     }
 
     /// Dispatch a `memcpyAsync` between two places: label + duration.
@@ -1186,7 +1188,7 @@ impl Transport {
             // Each intermediate device store-and-forwards the message:
             // it pays a peer-forwarding latency on top of the wire time.
             us(self.cost.p2p_latency_us) * relays as u64
-                + self.charge_route(route, bytes, now, bw_scale, inv_bw)
+                + self.charge_route(route, bytes, now, (bw_scale, inv_bw))
         } else {
             self.dev_charge(src, dst, bytes, now, bw_scale, inv_bw)
         };

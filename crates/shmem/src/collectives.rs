@@ -15,9 +15,9 @@
 //! hardcoded rank arithmetic. Numerical results do not depend on the
 //! topology — only the virtual time does.
 
-use crate::{ShmemCtx, ShmemWorld, SymArray, SymSignal};
+use crate::{Put, ShmemCtx, ShmemWorld, SymArray, SymSignal, Wait};
 use gpu_sim::{Buf, KernelCtx};
-use sim_des::{Cmp, SignalOp, SimDur};
+use sim_des::{Cmp, SignalOp};
 
 /// Reduction operator for collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,11 +107,6 @@ impl AllreduceWs {
         self.rounds
     }
 
-    /// The local call counter (signal epoch of the last completed call).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Rewind the local call counter — checkpoint/restart support. The
     /// counter is a pure function of how many allreduces completed, so a
     /// recovery protocol can recompute it from the checkpoint iteration.
@@ -134,24 +129,76 @@ impl AllreduceWs {
     }
 }
 
-/// All-reduce a scalar across every PE. Exactly one agent per PE must call
-/// this per "epoch"; all PEs receive the identical result.
-pub fn allreduce_scalar(
+/// How one [`allreduce`] call waits, puts and whom it includes — the
+/// policy half of the exchange: blocking waits and non-blocking puts over
+/// the world ([`allreduce_scalar`]), interruptible waits and retried puts
+/// over the world (checkpoint/restart), or peer-declared waits and retried
+/// puts over a quorum ([`allreduce_scalar_quorum`]).
+pub struct Exchange<'w, 'm> {
+    /// How every flow-control and arrival wait blocks.
+    pub wait: Wait<'w>,
+    /// How every slot write is put.
+    pub put: Put,
+    /// `None`: the whole world — recursive doubling over the topology's
+    /// ring positions for a power-of-two PE count, a ring otherwise.
+    /// `Some(members)`: always a ring, over the members' embedding in the
+    /// topology's ring ([`gpu_sim::Topology::ring_order_among`]); the ring
+    /// closes the gap a dead PE leaves.
+    pub members: Option<&'m [usize]>,
+    /// Extra put attempts spent on dropped deliveries, accumulated.
+    pub retries: u64,
+}
+
+/// All-reduce a scalar over the PEs `how` names. Exactly one agent per
+/// participating PE must call this per epoch; every participant receives
+/// the bitwise identical result. Returns `None` only when a
+/// [`Wait::Sliced`] wait was interrupted: the workspace counter may then
+/// have advanced past the abandoned epoch, so recovery must rewind it
+/// ([`AllreduceWs::set_seq`]) and reset the local flags
+/// ([`AllreduceWs::reset_local`]) after its rollback barrier.
+///
+/// Contract for `Some(members)` (asserted): the list is sorted ascending
+/// and contains the caller, the workspace was allocated with
+/// [`AllreduceWs::new_ring`], non-members do not call, and across
+/// consecutive epochs on one workspace membership only **shrinks**
+/// (deaths are permanent), so every slot in use this epoch carries a
+/// flow-control ack from the previous one.
+pub fn allreduce(
     sh: &mut ShmemCtx,
     ctx: &mut KernelCtx<'_>,
     ws: &mut AllreduceWs,
     value: f64,
     op: ReduceOp,
-) -> f64 {
-    let n = ws.n_pes;
-    if n == 1 {
-        return value;
-    }
-    ws.seq += 1;
+    how: &mut Exchange<'_, '_>,
+) -> Option<f64> {
     let me = sh.my_pe();
+    let n = ws.n_pes;
+    let world: Vec<usize>;
+    let members = match how.members {
+        Some(members) => {
+            assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "quorum must be sorted ascending: {members:?}"
+            );
+            assert!(
+                members.contains(&me),
+                "pe{me} called a quorum allreduce but is not in {members:?}"
+            );
+            members
+        }
+        None if n == 1 => return Some(value),
+        None => {
+            world = (0..n).collect();
+            &world
+        }
+    };
+    let m = members.len();
+    ws.seq += 1;
+    if m == 1 {
+        return Some(value);
+    }
     let topo = std::sync::Arc::clone(sh.world().topology());
-    let order = topo.ring_order();
-    let pos = topo.ring_position(me);
+    let doubling = how.members.is_none() && n.is_power_of_two();
     // One scratch cell per round: an nbi put reads its source at delivery
     // time, so a cell must stay untouched while its put is in flight
     // (NVSHMEM's source-buffer reuse rule). Reuse across *calls* is safe:
@@ -159,35 +206,37 @@ pub fn allreduce_scalar(
     let scratch = ctx
         .machine()
         .alloc(ctx.device(), "allreduce.src", ws.rounds);
-    let mut acc = value;
-    if n.is_power_of_two() {
+    // One round on `slot`: wait until `to` (the slot's reader) consumed my
+    // previous epoch's write, send `mine`, wait for `from`'s delivery into
+    // my own slot, and acknowledge its consumption back to `from`.
+    let mut round = |sh: &mut ShmemCtx,
+                     ctx: &mut KernelCtx<'_>,
+                     slot: usize,
+                     mine: f64,
+                     to: usize,
+                     from: usize|
+     -> Option<f64> {
+        sh.wait_ge(ctx, &mut how.wait, &ws.acks[slot], ws.seq - 1, to)?;
+        ctx.check_write(&scratch, slot, slot + 1, "allreduce scratch");
+        scratch.set(slot, mine);
+        let (slots, sig, seq) = (&ws.slots, &ws.sigs[slot], ws.seq);
+        how.retries += sh.put_signal(ctx, how.put, slots, slot, &scratch, slot, 1, sig, seq, to);
+        sh.wait_ge(ctx, &mut how.wait, &ws.sigs[slot], ws.seq, from)?;
+        ctx.check_read(ws.slots.local(me), slot, slot + 1, "allreduce slot");
+        let got = ws.slots.local(me).get(slot);
+        sh.signal_op(ctx, &ws.acks[slot], SignalOp::Set, ws.seq, from);
+        Some(got)
+    };
+    if doubling {
         // Recursive doubling over ring *positions*: at round k exchange
         // with the PE whose position is pos ^ 2^k (identity ranks on every
         // preset, but derived from the topology's embedding).
+        let order = topo.ring_order();
+        let pos = topo.ring_position(me);
+        let mut acc = value;
         for k in 0..ws.rounds {
             let partner = order[pos ^ (1 << k)];
-            // Flow control: the partner must have consumed my previous
-            // epoch's value in this slot before I overwrite it.
-            sh.signal_wait_until(ctx, &ws.acks[k], Cmp::Ge, ws.seq - 1);
-            ctx.check_write(&scratch, k, k + 1, "allreduce scratch");
-            scratch.set(k, acc);
-            sh.putmem_signal_nbi(
-                ctx,
-                &ws.slots,
-                k,
-                &scratch,
-                k,
-                1,
-                &ws.sigs[k],
-                SignalOp::Set,
-                ws.seq,
-                partner,
-            );
-            sh.signal_wait_until(ctx, &ws.sigs[k], Cmp::Ge, ws.seq);
-            ctx.check_read(ws.slots.local(me), k, k + 1, "allreduce slot");
-            let theirs = ws.slots.local(me).get(k);
-            // Acknowledge consumption so the partner may reuse the slot.
-            sh.signal_op(ctx, &ws.acks[k], SignalOp::Set, ws.seq, partner);
+            let theirs = round(sh, ctx, k, acc, partner, partner)?;
             // Fixed operand order: lower PE index on the left.
             acc = if partner < me {
                 op.combine(theirs, acc)
@@ -195,209 +244,68 @@ pub fn allreduce_scalar(
                 op.combine(acc, theirs)
             };
         }
-        acc
-    } else {
-        // Ring: accumulate PE 0..n in order at every PE simultaneously —
-        // n-1 rounds, each PE forwards its running prefix to the right.
-        // Round r: receive prefix of values [0..=r] if it's my turn.
-        // Simple (and deterministic): everyone sends its ORIGINAL value
-        // around the ring; each PE accumulates in global PE order.
-        let mut values = vec![0.0f64; n];
-        values[me] = value;
-        let right = order[(pos + 1) % n];
-        let left = order[(pos + n - 1) % n];
-        let mut forwarding = value;
-        for r in 0..n - 1 {
-            let slot = r.min(ws.rounds - 1);
-            // Flow control: my RIGHT neighbor must have consumed my
-            // previous write to this slot (ring has no inherent
-            // backpressure toward the writer).
-            sh.signal_wait_until(ctx, &ws.acks[slot], Cmp::Ge, ws.seq - 1);
-            ctx.check_write(&scratch, slot, slot + 1, "allreduce scratch");
-            scratch.set(slot, forwarding);
-            sh.putmem_signal_nbi(
-                ctx,
-                &ws.slots,
-                slot,
-                &scratch,
-                slot,
-                1,
-                &ws.sigs[slot],
-                SignalOp::Set,
-                ws.seq,
-                right,
-            );
-            sh.signal_wait_until(ctx, &ws.sigs[slot], Cmp::Ge, ws.seq);
-            ctx.check_read(ws.slots.local(me), slot, slot + 1, "allreduce slot");
-            let got = ws.slots.local(me).get(slot);
-            // Acknowledge to my LEFT neighbor (the slot's writer).
-            sh.signal_op(ctx, &ws.acks[slot], SignalOp::Set, ws.seq, left);
-            // The value received at round r originated r+1 ring positions
-            // to my left.
-            let origin = order[(pos + n - r - 1) % n];
-            values[origin] = got;
-            forwarding = got;
-        }
-        // Combination stays in global PE-index order regardless of the
-        // ring embedding, so results are topology-invariant.
-        let mut acc = values[0];
-        for v in &values[1..] {
-            acc = op.combine(acc, *v);
-        }
-        acc
+        return Some(acc);
     }
+    assert!(
+        ws.rounds >= m - 1,
+        "workspace has {} round slots but a ring of {m} needs {} — allocate with AllreduceWs::new_ring",
+        ws.rounds,
+        m - 1
+    );
+    // Ring: everyone circulates its ORIGINAL value; each participant
+    // records arrivals keyed by origin PE id.
+    let order = match how.members {
+        Some(members) => topo.ring_order_among(members),
+        None => topo.ring_order().to_vec(),
+    };
+    let pos = order
+        .iter()
+        .position(|&p| p == me)
+        .expect("member missing from ring order");
+    let right = order[(pos + 1) % m];
+    let left = order[(pos + m - 1) % m];
+    let mut values = vec![0.0f64; n];
+    values[me] = value;
+    let mut forwarding = value;
+    for r in 0..m - 1 {
+        let got = round(sh, ctx, r, forwarding, right, left)?;
+        // The value received at round r originated r+1 ring positions to
+        // my left.
+        values[order[(pos + m - r - 1) % m]] = got;
+        forwarding = got;
+    }
+    // Combine in global PE-index order over the participants — independent
+    // of the ring embedding, hence topology-invariant and bitwise
+    // identical everywhere.
+    let mut acc = values[members[0]];
+    for &pe in &members[1..] {
+        acc = op.combine(acc, values[pe]);
+    }
+    Some(acc)
 }
 
-/// Fault-tolerant scalar allreduce: the same fixed-order recursive-doubling
-/// / ring exchange as [`allreduce_scalar`], hardened for fault-injected
-/// runs —
-///
-/// * every wait is **deadline-sliced**: between `poll`-long slices the
-///   `interrupted` predicate runs, and a `true` abandons the call (`None`),
-///   letting the caller join a rollback instead of waiting on a peer that
-///   restarted;
-/// * every put is **retried** ([`ShmemCtx::putmem_signal_reliable`]), so a
-///   dropped delivery inside the collective cannot hang the partner —
-///   extra attempts are accumulated into `retries`.
-///
-/// On `None` the workspace counter may have advanced past the abandoned
-/// epoch; recovery must rewind it ([`AllreduceWs::set_seq`]) and reset the
-/// local flags ([`AllreduceWs::reset_local`]) after the rollback barrier.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_scalar_ft(
+/// [`allreduce`] across every PE with blocking waits and non-blocking puts.
+pub fn allreduce_scalar(
     sh: &mut ShmemCtx,
     ctx: &mut KernelCtx<'_>,
     ws: &mut AllreduceWs,
     value: f64,
     op: ReduceOp,
-    poll: SimDur,
-    retries: &mut u64,
-    interrupted: &mut dyn FnMut(&ShmemCtx, &KernelCtx<'_>) -> bool,
-) -> Option<f64> {
-    let n = ws.n_pes;
-    if n == 1 {
-        return Some(value);
-    }
-    ws.seq += 1;
-    let me = sh.my_pe();
-    let topo = std::sync::Arc::clone(sh.world().topology());
-    let order = topo.ring_order();
-    let pos = topo.ring_position(me);
-    // Per-round scratch cells — see `allreduce_scalar` for why.
-    let scratch = ctx
-        .machine()
-        .alloc(ctx.device(), "allreduce.src", ws.rounds);
-    // Interruptible wait on one of the workspace signals.
-    macro_rules! wait {
-        ($sig:expr, $val:expr) => {
-            loop {
-                if interrupted(sh, ctx) {
-                    return None;
-                }
-                let deadline = ctx.now() + poll;
-                if sh
-                    .signal_wait_until_deadline(ctx, $sig, Cmp::Ge, $val, deadline)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        };
-    }
-    if n.is_power_of_two() {
-        let mut acc = value;
-        for k in 0..ws.rounds {
-            let partner = order[pos ^ (1 << k)];
-            wait!(&ws.acks[k], ws.seq - 1);
-            scratch.set(k, acc);
-            *retries += (sh.putmem_signal_reliable(
-                ctx,
-                &ws.slots,
-                k,
-                &scratch,
-                k,
-                1,
-                &ws.sigs[k],
-                SignalOp::Set,
-                ws.seq,
-                partner,
-            ) - 1) as u64;
-            wait!(&ws.sigs[k], ws.seq);
-            let theirs = ws.slots.local(me).get(k);
-            sh.signal_op(ctx, &ws.acks[k], SignalOp::Set, ws.seq, partner);
-            acc = if partner < me {
-                op.combine(theirs, acc)
-            } else {
-                op.combine(acc, theirs)
-            };
-        }
-        Some(acc)
-    } else {
-        let mut values = vec![0.0f64; n];
-        values[me] = value;
-        let right = order[(pos + 1) % n];
-        let left = order[(pos + n - 1) % n];
-        let mut forwarding = value;
-        for r in 0..n - 1 {
-            let slot = r.min(ws.rounds - 1);
-            wait!(&ws.acks[slot], ws.seq - 1);
-            scratch.set(slot, forwarding);
-            *retries += (sh.putmem_signal_reliable(
-                ctx,
-                &ws.slots,
-                slot,
-                &scratch,
-                slot,
-                1,
-                &ws.sigs[slot],
-                SignalOp::Set,
-                ws.seq,
-                right,
-            ) - 1) as u64;
-            wait!(&ws.sigs[slot], ws.seq);
-            let got = ws.slots.local(me).get(slot);
-            sh.signal_op(ctx, &ws.acks[slot], SignalOp::Set, ws.seq, left);
-            let origin = order[(pos + n - r - 1) % n];
-            values[origin] = got;
-            forwarding = got;
-        }
-        let mut acc = values[0];
-        for v in &values[1..] {
-            acc = op.combine(acc, *v);
-        }
-        Some(acc)
-    }
+) -> f64 {
+    let mut how = Exchange {
+        wait: Wait::Blocking,
+        put: Put::Nbi,
+        members: None,
+        retries: 0,
+    };
+    allreduce(sh, ctx, ws, value, op, &mut how).expect("blocking waits are never interrupted")
 }
 
-/// Self-healing scalar allreduce over a **quorum**: the surviving members
-/// of a degraded run complete the reduction among themselves, skipping
-/// crashed PEs entirely.
-///
-/// The exchange is a ring over the quorum's embedding in the topology's
-/// base ring ([`gpu_sim::Topology::ring_order_among`]) — the healed ring
-/// simply closes the gap a dead PE leaves. Every put is retried
-/// ([`ShmemCtx::putmem_signal_reliable`], extra attempts accumulated into
-/// `retries`), and every wait declares its peer
-/// ([`ShmemCtx::signal_wait_from`]) so a non-completing degraded run is
-/// always attributed with a wait-for edge.
-///
-/// Returns the reduced value together with the **deterministic
-/// contribution report**: the ascending PE ids whose values entered the
-/// reduction. The combination order is global PE-index order over the
-/// members, so the result is bitwise identical on every member and
-/// topology-invariant — and reproducible by a sequential reference that
-/// folds the members' values in ascending order.
-///
-/// Contract (asserted):
-/// * `members` is sorted ascending, non-empty, and contains the caller;
-/// * the workspace was allocated with [`AllreduceWs::new_ring`]
-///   (`ws.rounds() >= members.len() - 1`);
-/// * exactly one agent per *member* calls this per epoch — non-members
-///   must not call;
-/// * across consecutive epochs on the same workspace, membership only
-///   **shrinks** (deaths are permanent), so every slot in use this epoch
-///   carries a flow-control ack from the previous one.
-#[allow(clippy::too_many_arguments)]
+/// [`allreduce`] over a degraded run's surviving `members`, with
+/// peer-declared waits and retried puts whose extra attempts are added to
+/// `retries`.
+/// Returns the value together with the deterministic contribution report:
+/// the ascending PE ids whose values entered the reduction.
 pub fn allreduce_scalar_quorum(
     sh: &mut ShmemCtx,
     ctx: &mut KernelCtx<'_>,
@@ -407,84 +315,16 @@ pub fn allreduce_scalar_quorum(
     members: &[usize],
     retries: &mut u64,
 ) -> (f64, Vec<usize>) {
-    let me = sh.my_pe();
-    assert!(
-        members.windows(2).all(|w| w[0] < w[1]),
-        "quorum must be sorted ascending: {members:?}"
-    );
-    assert!(
-        members.contains(&me),
-        "pe{me} called allreduce_scalar_quorum but is not in {members:?}"
-    );
-    let m = members.len();
-    let report = members.to_vec();
-    if m == 1 {
-        ws.seq += 1;
-        return (value, report);
-    }
-    assert!(
-        ws.rounds >= m - 1,
-        "workspace has {} round slots but quorum of {m} needs {} — allocate with AllreduceWs::new_ring",
-        ws.rounds,
-        m - 1
-    );
-    ws.seq += 1;
-    let topo = std::sync::Arc::clone(sh.world().topology());
-    let order = topo.ring_order_among(members);
-    let pos = order
-        .iter()
-        .position(|&p| p == me)
-        .expect("member missing from healed ring order");
-    let right = order[(pos + 1) % m];
-    let left = order[(pos + m - 1) % m];
-    // Per-round scratch cells — see `allreduce_scalar` for why.
-    let scratch = ctx
-        .machine()
-        .alloc(ctx.device(), "allreduce.src", ws.rounds);
-    // Everyone circulates its ORIGINAL value around the healed ring; each
-    // member records arrivals keyed by origin PE id.
-    let mut values = vec![0.0f64; ws.n_pes];
-    values[me] = value;
-    let mut forwarding = value;
-    for r in 0..m - 1 {
-        let slot = r;
-        // Flow control: my RIGHT neighbor (this slot's reader) must have
-        // consumed my previous epoch's write. Membership only shrinks, so
-        // the previous epoch used this slot too and acked it.
-        sh.signal_wait_from(ctx, &ws.acks[slot], Cmp::Ge, ws.seq - 1, right);
-        ctx.check_write(&scratch, slot, slot + 1, "allreduce scratch");
-        scratch.set(slot, forwarding);
-        *retries += (sh.putmem_signal_reliable(
-            ctx,
-            &ws.slots,
-            slot,
-            &scratch,
-            slot,
-            1,
-            &ws.sigs[slot],
-            SignalOp::Set,
-            ws.seq,
-            right,
-        ) - 1) as u64;
-        sh.signal_wait_from(ctx, &ws.sigs[slot], Cmp::Ge, ws.seq, left);
-        ctx.check_read(ws.slots.local(me), slot, slot + 1, "allreduce slot");
-        let got = ws.slots.local(me).get(slot);
-        // Acknowledge to my LEFT neighbor (the slot's writer).
-        sh.signal_op(ctx, &ws.acks[slot], SignalOp::Set, ws.seq, left);
-        // The value received at round r originated r+1 healed-ring
-        // positions to my left.
-        let origin = order[(pos + m - r - 1) % m];
-        values[origin] = got;
-        forwarding = got;
-    }
-    // Combine in global PE-index order over the members — independent of
-    // the ring embedding, hence topology-invariant and bitwise identical
-    // on every member.
-    let mut acc = values[members[0]];
-    for &pe in &members[1..] {
-        acc = op.combine(acc, values[pe]);
-    }
-    (acc, report)
+    let mut how = Exchange {
+        wait: Wait::FromPeer,
+        put: Put::Reliable,
+        members: Some(members),
+        retries: 0,
+    };
+    let v = allreduce(sh, ctx, ws, value, op, &mut how)
+        .expect("peer-declared waits are never interrupted");
+    *retries += how.retries;
+    (v, members.to_vec())
 }
 
 /// Broadcast `len` elements of `arr` from `root`'s copy to every PE.
@@ -580,11 +420,6 @@ impl HierAllreduceWs {
             seq: 0,
             n_pes: n,
         }
-    }
-
-    /// The local call counter (signal epoch of the last completed call).
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -799,11 +634,6 @@ impl AllToAllWs {
             seq: 0,
             n_pes: n,
         }
-    }
-
-    /// The local call counter (signal epoch of the last completed call).
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 }
 

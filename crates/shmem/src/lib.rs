@@ -34,8 +34,8 @@
 pub mod collectives;
 
 pub use collectives::{
-    allreduce_scalar, allreduce_scalar_ft, allreduce_scalar_quorum, broadcast, reference_reduce,
-    AllreduceWs, ReduceOp,
+    allreduce, allreduce_scalar, allreduce_scalar_quorum, broadcast, reference_reduce, AllreduceWs,
+    Exchange, ReduceOp,
 };
 
 use gpu_sim::{Buf, Checker, DevId, FaultState, KernelCtx, Machine, Transport};
@@ -155,6 +155,34 @@ impl ShmemWorld {
     pub fn signals(&self, count: usize, init: u64) -> Vec<SymSignal> {
         (0..count).map(|_| self.signal(init)).collect()
     }
+}
+
+/// How a protocol waits on a signal (see [`ShmemCtx::wait_ge`]).
+pub enum Wait<'a> {
+    /// Block until the signal arrives.
+    Blocking,
+    /// Block, declaring the delivering peer: a wait-for-graph edge, so a
+    /// hang is reported with the PE it waits on.
+    FromPeer,
+    /// Wait in `poll`-long deadline slices; before each slice
+    /// `interrupted` runs, and `true` abandons the wait. A lost signal
+    /// can then never hang the caller.
+    Sliced {
+        /// Slice length.
+        poll: SimDur,
+        /// Checked before every slice.
+        interrupted: &'a mut dyn FnMut(&ShmemCtx, &KernelCtx<'_>) -> bool,
+    },
+}
+
+/// How a protocol issues a put-with-signal (see [`ShmemCtx::put_signal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Put {
+    /// [`ShmemCtx::putmem_signal_nbi`]: a dropped delivery is lost.
+    Nbi,
+    /// [`ShmemCtx::putmem_signal_reliable`]: dropped deliveries are
+    /// retried with backoff.
+    Reliable,
 }
 
 /// Per-PE device-side NVSHMEM context, created inside a kernel body.
@@ -747,19 +775,7 @@ impl ShmemCtx {
         cmp: Cmp,
         value: u64,
     ) {
-        let flag = sig.flag(self.pe);
-        let poll = ctx.cost().shmem_poll();
-        let agent = ctx.agent_mut();
-        let start = agent.now();
-        agent.wait_flag(flag, cmp, value);
-        agent.advance(poll);
-        let end = agent.now();
-        agent.record(
-            Category::Sync,
-            format!("signal_wait {cmp:?} {value}"),
-            start,
-            end,
-        );
+        let _ = self.wait_signal(ctx, sig, cmp, value, None, None);
     }
 
     /// Deadline-bounded signal wait: like [`ShmemCtx::signal_wait_until`]
@@ -774,22 +790,7 @@ impl ShmemCtx {
         value: u64,
         deadline: SimTime,
     ) -> Result<(), WaitTimedOut> {
-        let flag = sig.flag(self.pe);
-        let poll = ctx.cost().shmem_poll();
-        let agent = ctx.agent_mut();
-        let start = agent.now();
-        let r = agent.wait_flag_until(flag, cmp, value, deadline);
-        if r.is_ok() {
-            agent.advance(poll);
-        }
-        let end = agent.now();
-        agent.record(
-            Category::Sync,
-            format!("signal_wait {cmp:?} {value}"),
-            start,
-            end,
-        );
-        r
+        self.wait_signal(ctx, sig, cmp, value, Some(deadline), None)
     }
 
     /// Signal wait that declares the PE expected to deliver the signal — a
@@ -803,19 +804,104 @@ impl ShmemCtx {
         value: u64,
         from_pe: usize,
     ) {
+        let _ = self.wait_signal(ctx, sig, cmp, value, None, Some(from_pe));
+    }
+
+    /// The one signal wait: until `deadline` if given, declaring `from_pe`
+    /// if given; the polling granularity is charged on success.
+    fn wait_signal(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        sig: &SymSignal,
+        cmp: Cmp,
+        value: u64,
+        deadline: Option<SimTime>,
+        from_pe: Option<usize>,
+    ) -> Result<(), WaitTimedOut> {
         let flag = sig.flag(self.pe);
         let poll = ctx.cost().shmem_poll();
         let agent = ctx.agent_mut();
         let start = agent.now();
-        agent.wait_flag_from(flag, cmp, value, format!("pe{from_pe}"));
-        agent.advance(poll);
+        let r = match (deadline, from_pe) {
+            (Some(deadline), _) => agent.wait_flag_until(flag, cmp, value, deadline),
+            (None, Some(pe)) => {
+                agent.wait_flag_from(flag, cmp, value, format!("pe{pe}"));
+                Ok(())
+            }
+            (None, None) => {
+                agent.wait_flag(flag, cmp, value);
+                Ok(())
+            }
+        };
+        if r.is_ok() {
+            agent.advance(poll);
+        }
+        let from = from_pe.map_or(String::new(), |pe| format!(" from pe{pe}"));
         let end = agent.now();
-        agent.record(
-            Category::Sync,
-            format!("signal_wait {cmp:?} {value} from pe{from_pe}"),
-            start,
-            end,
-        );
+        let label = format!("signal_wait {cmp:?} {value}{from}");
+        agent.record(Category::Sync, label, start, end);
+        r
+    }
+
+    /// Wait until this PE's copy of `sig` reaches `value` in the manner
+    /// `wait` prescribes; `peer` is the PE expected to deliver it. `None`
+    /// when a [`Wait::Sliced`] wait was interrupted.
+    pub fn wait_ge(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        wait: &mut Wait<'_>,
+        sig: &SymSignal,
+        value: u64,
+        peer: usize,
+    ) -> Option<()> {
+        match wait {
+            Wait::Blocking => self.signal_wait_until(ctx, sig, Cmp::Ge, value),
+            Wait::FromPeer => self.signal_wait_from(ctx, sig, Cmp::Ge, value, peer),
+            Wait::Sliced { poll, interrupted } => loop {
+                if interrupted(self, ctx) {
+                    return None;
+                }
+                let deadline = ctx.now() + *poll;
+                if self
+                    .signal_wait_until_deadline(ctx, sig, Cmp::Ge, value, deadline)
+                    .is_ok()
+                {
+                    break;
+                }
+            },
+        }
+        Some(())
+    }
+
+    /// Put + `Set` signal in the manner `put` prescribes. Returns the
+    /// extra attempts a [`Put::Reliable`] put spent on dropped deliveries
+    /// (always 0 for [`Put::Nbi`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn put_signal(
+        &mut self,
+        ctx: &mut KernelCtx<'_>,
+        put: Put,
+        dst: &SymArray,
+        dst_off: usize,
+        src: &Buf,
+        src_off: usize,
+        len: usize,
+        sig: &SymSignal,
+        sig_val: u64,
+        pe: usize,
+    ) -> u64 {
+        let op = SignalOp::Set;
+        match put {
+            Put::Nbi => {
+                self.putmem_signal_nbi(ctx, dst, dst_off, src, src_off, len, sig, op, sig_val, pe);
+                0
+            }
+            Put::Reliable => u64::from(
+                self.putmem_signal_reliable(
+                    ctx, dst, dst_off, src, src_off, len, sig, op, sig_val, pe,
+                ) - 1,
+            ),
+        }
     }
 
     /// Read this PE's copy of a signal without waiting.

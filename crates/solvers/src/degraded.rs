@@ -1,4 +1,5 @@
-//! Degraded-mode CPU-Free CG: when a PE crashes, the surviving quorum
+//! Degraded-mode CPU-Free CG: the CPU-Free CG kernel under
+//! [`Resilience::Quorum`]. When a PE crashes, the surviving quorum
 //! finishes the solve among themselves — the solver counterpart of
 //! [`stencil_lab::degraded`].
 //!
@@ -23,18 +24,11 @@
 //! dead slabs frozen, halo snapshots for the matvec, and dots restricted
 //! to the living quorum. Survivors must match it **bit for bit**.
 
-use crate::kernels::{axpy_xr, dot_local, matvec, update_p, vec_op, vec_op_scaled};
+use crate::cg::{owned_x, run_resilient};
 use crate::problem::PoissonProblem;
-use cpufree_core::launch_cpu_free;
-use gpu_sim::{alive_at, BlockGroup, CheckReport, CostModel, ExecMode, FaultPlan, Machine};
-use nvshmem_sim::{
-    allreduce_scalar_quorum, AllreduceWs, BackoffPolicy, ReduceOp, ShmemCtx, ShmemWorld,
-};
-use sim_des::lock::Mutex;
-use sim_des::{Cmp, SignalOp, SimDur, SimError, SimTime};
-use std::sync::Arc;
-
-use crate::cg::{alloc_state, halo_geom, halo_len, PeState};
+use cpufree_core::Resilience;
+use gpu_sim::{alive_at, CheckReport, ExecMode, FaultPlan};
+use sim_des::{SimDur, SimError, SimTime};
 
 /// Result of a degraded-mode CG run.
 #[derive(Debug)]
@@ -84,240 +78,33 @@ pub fn run_cpu_free_degraded(
     prob: &PoissonProblem,
     plan: &FaultPlan,
     exec: ExecMode,
-    backoff: Option<BackoffPolicy>,
 ) -> Result<CgDegradedResult, SimError> {
-    let n = prob.n_pes;
-    let iters = prob.iterations;
-    let quorum = alive_at(plan, n, iters);
+    let quorum = alive_at(plan, prob.n_pes, prob.iterations);
     assert!(
         !quorum.is_empty(),
         "degraded CG needs at least one survivor (plan kills everyone)"
     );
-    let machine = Machine::with_topology(n, CostModel::a100_hgx(), prob.topology, exec);
-    machine.set_fault_plan(plan.clone());
-    if prob.check {
-        machine.enable_checker();
-    }
-    if let Some(seed) = prob.jitter {
-        machine.set_wake_jitter(seed);
-    }
-    let world = ShmemWorld::init(&machine);
-    let slab = prob.slab();
-    let len = (slab.max_layers() + 2) * prob.nx;
-    let p = world.malloc("p", len);
-    let sig_low = world.signal(0);
-    let sig_high = world.signal(0);
-    let ws = AllreduceWs::new_ring(&world);
-    let states: Vec<Arc<PeState>> = (0..n)
-        .map(|pe| {
-            let st = alloc_state(&machine, prob, pe);
-            if exec == ExecMode::Full {
-                p.local(pe).write_slice(0, &prob.local_b(pe));
-            }
-            Arc::new(st)
-        })
-        .collect();
-    let geom = Arc::new(halo_geom(prob));
-    let rhos = Arc::new(Mutex::new(vec![0.0f64; n]));
-    let reports: Arc<Mutex<Vec<Vec<usize>>>> = Arc::new(Mutex::new(vec![Vec::new(); n]));
-    let retries = Arc::new(Mutex::new(0u64));
-
-    let prob_c = prob.clone();
-    let plan_c = plan.clone();
-    let states_l = states.clone();
-    let rhos_l = Arc::clone(&rhos);
-    let reports_l = Arc::clone(&reports);
-    let retries_l = Arc::clone(&retries);
-    let end = launch_cpu_free(&machine, "cg_degraded", 1024, move |pe| {
-        let st = Arc::clone(&states_l[pe]);
-        let world = world.clone();
-        let p = p.clone();
-        let (sig_low, sig_high) = (sig_low.clone(), sig_high.clone());
-        let mut ws = ws.clone();
-        let geom = Arc::clone(&geom);
-        let rhos = Arc::clone(&rhos_l);
-        let reports = Arc::clone(&reports_l);
-        let retries = Arc::clone(&retries_l);
-        let hl = halo_len(&prob_c);
-        let prob = prob_c.clone();
-        let plan = plan_c.clone();
-        let backoff = backoff.clone();
-        vec![BlockGroup::new("cg", 108, move |k| {
-            let mut sh = ShmemCtx::new(&world, k);
-            if let Some(policy) = &backoff {
-                sh.set_backoff_policy(policy.clone());
-            }
-            let faults = k.machine().faults();
-            let checker = k.machine().checker();
-            let (nx, layers) = (st.nx, st.layers);
-            let points = (layers * nx) as u64;
-            let n = prob.n_pes;
-            let my_death = faults.crash_iteration(pe).map(|d| d.max(1));
-            let death_low = (pe > 0)
-                .then(|| faults.crash_iteration(pe - 1).map(|d| d.max(1)))
-                .flatten();
-            let death_high = (pe + 1 < n)
-                .then(|| faults.crash_iteration(pe + 1).map(|d| d.max(1)))
-                .flatten();
-            let mut spent = 0u64;
-            // rho0 = <r, r> over the full world (death begins at t >= 1).
-            let everyone: Vec<usize> = (0..n).collect();
-            let mut partial = 0.0;
-            vec_op(k, points, 16, 2, "dot(r,r)", || {
-                partial = dot_local(&st.r, &st.r, nx, layers);
-            });
-            let (mut rho, mut report) = allreduce_scalar_quorum(
-                &mut sh,
-                k,
-                &mut ws,
-                partial,
-                ReduceOp::Sum,
-                &everyone,
-                &mut spent,
-            );
-            for it in 1..=prob.iterations {
-                // ⓪ Scheduled death: drain in-flight puts (their sources
-                // must leave intact), scrub, stop forever.
-                if my_death == Some(it) {
-                    sh.quiet(k);
-                    if k.exec_mode() == ExecMode::Full {
-                        st.x.fill(f64::NAN);
-                        st.r.fill(f64::NAN);
-                        st.q.fill(f64::NAN);
-                        p.local(pe).fill(f64::NAN);
-                    }
-                    k.busy(sim_des::Category::Api, "degraded.die", sim_des::us(1.0));
-                    *retries.lock() += spent;
-                    return;
-                }
-                let members = alive_at(&plan, n, it);
-                if let Some(chk) = &checker {
-                    chk.iteration(pe, it, &k.agent().name(), k.now());
-                }
-                // ① p-halo exchange with *living* neighbors, reliably.
-                if pe > 0 && death_low.is_none_or(|d| it < d) {
-                    spent += (sh.putmem_signal_reliable(
-                        k,
-                        &p,
-                        geom.high_halo_of[pe - 1],
-                        p.local(pe),
-                        geom.first_row,
-                        hl,
-                        &sig_high,
-                        SignalOp::Set,
-                        it,
-                        pe - 1,
-                    ) - 1) as u64;
-                }
-                if pe + 1 < n && death_high.is_none_or(|d| it < d) {
-                    spent += (sh.putmem_signal_reliable(
-                        k,
-                        &p,
-                        geom.low_halo,
-                        p.local(pe),
-                        layers * nx,
-                        hl,
-                        &sig_low,
-                        SignalOp::Set,
-                        it,
-                        pe + 1,
-                    ) - 1) as u64;
-                }
-                // Waits clamp at a dead neighbor's last committed push.
-                if pe > 0 {
-                    let target = death_low.map_or(it, |d| it.min(d - 1));
-                    sh.signal_wait_from(k, &sig_low, Cmp::Ge, target, pe - 1);
-                }
-                if pe + 1 < n {
-                    let target = death_high.map_or(it, |d| it.min(d - 1));
-                    sh.signal_wait_from(k, &sig_high, Cmp::Ge, target, pe + 1);
-                }
-                // ② q = A p (straggler windows stretch the kernel).
-                let straggle = faults.compute_mult(pe, k.now());
-                k.check_read(p.local(pe), 0, (layers + 2) * nx, "matvec p read");
-                k.check_write(&st.q, nx, (layers + 1) * nx, "matvec q write");
-                vec_op_scaled(k, points, 16, 9, straggle, "matvec", || {
-                    matvec(p.local(pe), &st.q, nx, layers);
-                });
-                // ③ alpha = rho / <p, q> over the quorum.
-                let mut pq_part = 0.0;
-                vec_op(k, points, 16, 2, "dot(p,q)", || {
-                    pq_part = dot_local(p.local(pe), &st.q, nx, layers);
-                });
-                let (pq, _) = allreduce_scalar_quorum(
-                    &mut sh,
-                    k,
-                    &mut ws,
-                    pq_part,
-                    ReduceOp::Sum,
-                    &members,
-                    &mut spent,
-                );
-                let alpha = rho / pq;
-                // ④ x += alpha p; r -= alpha q.
-                vec_op(k, points, 32, 4, "axpy(x,r)", || {
-                    axpy_xr(&st.x, &st.r, p.local(pe), &st.q, alpha, nx, layers);
-                });
-                // ⑤ rho' = <r, r> over the quorum; beta.
-                let mut rr_part = 0.0;
-                vec_op(k, points, 16, 2, "dot(r,r)", || {
-                    rr_part = dot_local(&st.r, &st.r, nx, layers);
-                });
-                let (rho_new, rep) = allreduce_scalar_quorum(
-                    &mut sh,
-                    k,
-                    &mut ws,
-                    rr_part,
-                    ReduceOp::Sum,
-                    &members,
-                    &mut spent,
-                );
-                let beta = rho_new / rho;
-                rho = rho_new;
-                report = rep;
-                // ⑥ p = r + beta p.
-                k.check_write(p.local(pe), nx, (layers + 1) * nx, "update p write");
-                vec_op(k, points, 24, 2, "update p", || {
-                    update_p(p.local(pe), &st.r, beta, nx, layers);
-                });
-            }
-            rhos.lock()[pe] = rho;
-            reports.lock()[pe] = report;
-            *retries.lock() += spent;
-        })]
-    })?;
-
-    let total = end.since(SimTime::ZERO);
-    let x_owned: Vec<Vec<f64>> = states
-        .iter()
-        .map(|st| {
-            let mut out = vec![0.0; st.layers * st.nx];
-            st.x.read_slice(st.nx, &mut out);
-            out
-        })
-        .collect();
-    let rhos = rhos.lock();
-    let reports = reports.lock();
-    let final_rho = rhos[quorum[0]];
+    let run = run_resilient(prob, plan, Resilience::Quorum, exec)?;
+    let final_rho = run.rhos[quorum[0]];
+    let report = &run.reports[quorum[0]];
     // Every survivor must hold the bitwise identical rho and report.
     for &pe in &quorum {
         assert_eq!(
-            rhos[pe].to_bits(),
+            run.rhos[pe].to_bits(),
             final_rho.to_bits(),
             "quorum rho diverged on pe{pe}"
         );
-        assert_eq!(reports[pe], reports[quorum[0]], "report diverged on pe{pe}");
+        assert_eq!(&run.reports[pe], report, "report diverged on pe{pe}");
     }
-    let retries = *retries.lock();
     Ok(CgDegradedResult {
-        total,
-        quorum: quorum.clone(),
-        x_owned,
+        total: run.end.since(SimTime::ZERO),
+        x_owned: owned_x(&run.states),
         final_rho,
-        report: reports[quorum[0]].clone(),
-        retries,
-        dead_pairs: machine.faults().dead_pairs(end),
-        check: machine.checker().map(|c| c.report()),
+        report: report.clone(),
+        retries: run.counts.retries,
+        dead_pairs: run.machine.faults().dead_pairs(run.end),
+        check: run.machine.checker().map(|c| c.report()),
+        quorum,
     })
 }
 
@@ -453,7 +240,7 @@ mod tests {
     fn fault_free_degraded_matches_linear_reference() {
         let p = prob(TopologyKind::NvlinkAllToAll);
         let plan = FaultPlan::new();
-        let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full, None).unwrap();
+        let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full).unwrap();
         assert_eq!(out.quorum, vec![0, 1, 2, 3]);
         assert_eq!(out.report, vec![0, 1, 2, 3]);
         assert_eq!(out.verify(&p, &plan), 0.0);
@@ -473,7 +260,7 @@ mod tests {
         let mut rhos = Vec::new();
         for kind in TopologyKind::presets() {
             let p = prob(kind);
-            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full, None).unwrap();
+            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full).unwrap();
             assert_eq!(out.quorum, vec![0, 2, 3], "{}", kind.name());
             assert_eq!(out.report, vec![0, 2, 3], "{}", kind.name());
             assert_eq!(out.verify(&p, &plan), 0.0, "{}", kind.name());
@@ -487,10 +274,10 @@ mod tests {
     fn single_link_kill_is_bit_identical_to_fault_free() {
         for kind in TopologyKind::presets() {
             let p = prob(kind);
-            let clean = run_cpu_free_degraded(&p, &FaultPlan::new(), ExecMode::Full, None).unwrap();
+            let clean = run_cpu_free_degraded(&p, &FaultPlan::new(), ExecMode::Full).unwrap();
             let plan =
                 FaultPlan::new().with_link(LinkFault::kill(2, 3, SimTime::ZERO + sim_des::us(5.0)));
-            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full, None).unwrap();
+            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full).unwrap();
             assert_eq!(out.quorum, vec![0, 1, 2, 3], "{}", kind.name());
             assert_eq!(
                 out.final_rho.to_bits(),
@@ -512,7 +299,7 @@ mod tests {
             at_iteration: 1,
         });
         let p = prob(TopologyKind::TwoNode);
-        let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full, None).unwrap();
+        let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full).unwrap();
         assert_eq!(out.quorum, vec![0, 1, 2]);
         assert_eq!(out.verify(&p, &plan), 0.0);
     }
@@ -525,7 +312,7 @@ mod tests {
         });
         let run = || {
             let p = prob(TopologyKind::NvlinkRing);
-            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full, None).unwrap();
+            let out = run_cpu_free_degraded(&p, &plan, ExecMode::Full).unwrap();
             (out.total, out.final_rho.to_bits(), out.retries)
         };
         assert_eq!(run(), run());

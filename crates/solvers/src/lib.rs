@@ -17,17 +17,18 @@
 //!
 //! Both are verified against a sequential reference CG that mimics the
 //! distributed reduction order exactly ([`PoissonProblem::reference_cg`]),
-//! so results match **bitwise**.
+//! so results match **bitwise**. The CPU-Free kernel is written once and
+//! parameterised by a [`cpufree_core::Resilience`] policy:
+//! [`cg::run_cpu_free_ft`] runs it under checkpoint/restart and
+//! [`degraded::run_cpu_free_degraded`] under a degraded quorum.
 
 #![warn(missing_docs)]
 
 pub mod cg;
 pub mod degraded;
-pub mod ft;
 pub mod kernels;
 pub mod problem;
 
-pub use cg::{run_baseline, run_cpu_free, CgResult};
+pub use cg::{run_baseline, run_cpu_free, run_cpu_free_ft, CgFtConfig, CgFtResult, CgResult};
 pub use degraded::{degraded_reference_cg, run_cpu_free_degraded, CgDegradedResult};
-pub use ft::{run_cpu_free_ft, CgFtConfig, CgFtResult};
 pub use problem::{PoissonProblem, ReduceOrder};

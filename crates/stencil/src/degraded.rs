@@ -1,6 +1,7 @@
-//! Degraded-mode CPU-Free Jacobi: instead of rolling back to a checkpoint
-//! (see [`crate::ft`]), the surviving quorum **keeps going** when a PE
-//! crashes or a link dies — the chaos engine's graceful-degradation path.
+//! Degraded-mode CPU-Free Jacobi: the resilient Jacobi kernel of
+//! [`crate::ft`] under [`Resilience::Quorum`]. Instead of rolling back to a
+//! checkpoint, the surviving quorum **keeps going** when a PE crashes or a
+//! link dies — the chaos engine's graceful-degradation path.
 //!
 //! # Model
 //!
@@ -32,14 +33,12 @@
 //! Survivor slabs must match it **bit for bit** on every topology preset.
 
 use crate::config::StencilConfig;
-use crate::domain::{compute_phase, Domain};
+use crate::domain::Domain;
+use crate::ft::{run_resilient, Agreement};
 use crate::geometry::geometry_of;
-use cpufree_core::launch_cpu_free;
-use gpu_sim::{alive_at, BlockGroup, Buf, ExecMode, FaultPlan, KernelCtx, Place};
-use nvshmem_sim::{allreduce_scalar_quorum, AllreduceWs, BackoffPolicy, ReduceOp, ShmemCtx};
-use sim_des::lock::Mutex;
-use sim_des::{Category, Cmp, SignalOp, SimDur, SimError, SimTime};
-use std::sync::Arc;
+use cpufree_core::Resilience;
+use gpu_sim::{alive_at, Buf, ExecMode, FaultPlan, Place};
+use sim_des::{SimDur, SimError, SimTime};
 
 /// Configuration of a degraded-mode run.
 #[derive(Clone)]
@@ -48,24 +47,14 @@ pub struct DegradedConfig {
     pub base: StencilConfig,
     /// The deterministic fault schedule (empty plan = fault-free).
     pub plan: FaultPlan,
-    /// Retry-backoff policy for the reliable halo puts (`None` = default).
-    pub backoff: Option<BackoffPolicy>,
 }
 
 impl DegradedConfig {
-    /// Degraded run of `base` under `plan` with the default backoff.
+    /// Degraded run of `base` under `plan`.
     pub fn new(base: StencilConfig, plan: FaultPlan) -> DegradedConfig {
-        DegradedConfig {
-            base,
-            plan,
-            backoff: None,
-        }
+        DegradedConfig { base, plan }
     }
 }
-
-/// A quorum allreduce result: the reduced value plus the contribution
-/// report (ascending member ids).
-type Agreement = (f64, Vec<usize>);
 
 /// Outcome of a degraded-mode run.
 #[derive(Debug, Clone)]
@@ -98,230 +87,37 @@ pub struct DegradedExecuted {
 /// with frozen halos at the death boundaries and verify against
 /// [`degraded_reference`]. Killed links are rerouted transparently.
 pub fn run_cpu_free_degraded(cfg: &DegradedConfig) -> Result<DegradedExecuted, SimError> {
-    let dom = Arc::new(Domain::new(&cfg.base));
-    dom.machine.set_fault_plan(cfg.plan.clone());
-    let n = cfg.base.n_gpus;
-    let iters = cfg.base.iterations;
-    let quorum = alive_at(&cfg.plan, n, iters);
-    let ws = AllreduceWs::new_ring(&dom.world);
-
-    let retries = Arc::new(Mutex::new(0u64));
-    let agreed: Arc<Mutex<Vec<Option<Agreement>>>> = Arc::new(Mutex::new(vec![None; n]));
-
-    let dom_l = Arc::clone(&dom);
-    let cfg_l = cfg.clone();
-    let quorum_l = quorum.clone();
-    let retries_l = Arc::clone(&retries);
-    let agreed_l = Arc::clone(&agreed);
-    let end = launch_cpu_free(
-        &dom.machine.clone(),
-        "cpufree_degraded",
-        cfg.base.threads_per_block,
-        move |pe| {
-            let dom = Arc::clone(&dom_l);
-            let cfg = cfg_l.clone();
-            let quorum = quorum_l.clone();
-            let mut ws = ws.clone();
-            let retries = Arc::clone(&retries_l);
-            let agreed = Arc::clone(&agreed_l);
-            vec![BlockGroup::new("degraded", 1, move |k| {
-                let r = pe_body(k, &dom, &cfg, pe, n);
-                *retries.lock() += r;
-                // Survivors prove the healed collective: quorum allreduce
-                // of the local field sum, bitwise identical everywhere.
-                if quorum.contains(&pe) {
-                    let mut sh = ShmemCtx::new(&dom.world, k);
-                    if let Some(policy) = &cfg.backoff {
-                        sh.set_backoff_policy(policy.clone());
-                    }
-                    let value = local_field_sum(&dom, pe);
-                    let mut extra = 0u64;
-                    let res = allreduce_scalar_quorum(
-                        &mut sh,
-                        k,
-                        &mut ws,
-                        value,
-                        ReduceOp::Sum,
-                        &quorum,
-                        &mut extra,
-                    );
-                    *retries.lock() += extra;
-                    agreed.lock()[pe] = Some(res);
-                }
-            })]
-        },
-    )?;
-
-    let total = end.since(SimTime::ZERO);
+    let run = run_resilient(&cfg.base, &cfg.plan, Resilience::Quorum)?;
+    let dom = &run.dom;
+    let quorum = alive_at(&cfg.plan, cfg.base.n_gpus, cfg.base.iterations);
     let functional = cfg.base.exec == ExecMode::Full && !cfg.base.no_compute;
-    let max_err = functional.then(|| verify_degraded(&dom, &cfg.plan, &quorum));
+    let max_err = functional.then(|| verify_degraded(dom, &cfg.plan, &quorum));
     let mut checksum = 0u64;
     for &pe in &quorum {
         checksum = checksum
             .wrapping_mul(1_000_003)
             .wrapping_add(dom.final_gen().local(pe).checksum());
     }
-    let agreed_all = agreed.lock();
-    let agreed_result = quorum.first().and_then(|&pe| agreed_all[pe].clone());
+    let agreed = quorum.first().and_then(|&pe| run.agreed[pe].clone());
     // Every member must have received the *bitwise* identical reduction
     // and report (compared through the bit pattern — exactness, not ≈).
-    let bits = |r: &Option<(f64, Vec<usize>)>| r.as_ref().map(|(v, m)| (v.to_bits(), m.clone()));
+    let bits = |r: &Option<Agreement>| r.as_ref().map(|(v, m)| (v.to_bits(), m.clone()));
     for &pe in &quorum {
         assert_eq!(
-            bits(&agreed_all[pe]),
-            bits(&agreed_result),
+            bits(&run.agreed[pe]),
+            bits(&agreed),
             "quorum allreduce diverged on pe{pe}"
         );
     }
-    let dead_pairs = dom.machine.faults().dead_pairs(end);
-    let retries = *retries.lock();
     Ok(DegradedExecuted {
-        total,
+        total: run.end.since(SimTime::ZERO),
         quorum,
         max_err,
         checksum,
-        agreed: if functional { agreed_result } else { None },
-        retries,
-        dead_pairs,
+        agreed: if functional { agreed } else { None },
+        retries: run.counts.retries,
+        dead_pairs: dom.machine.faults().dead_pairs(run.end),
     })
-}
-
-/// One PE's degraded persistent loop; returns its retry count.
-fn pe_body(k: &mut KernelCtx<'_>, dom: &Domain, cfg: &DegradedConfig, pe: usize, n: usize) -> u64 {
-    let world = dom.world.clone();
-    let mut sh = ShmemCtx::new(&world, k);
-    if let Some(policy) = &cfg.backoff {
-        sh.set_backoff_policy(policy.clone());
-    }
-    let faults = dom.machine.faults();
-    let le = dom.layer_elems();
-    let layers = dom.layers(pe);
-    let w = dom.workload(pe);
-    let iters = dom.cfg.iterations;
-    // Death schedule — mine and my neighbors', derived from the shared
-    // plan (oracle membership).
-    let my_death = faults.crash_iteration(pe).map(|d| d.max(1));
-    let death_low = (pe > 0)
-        .then(|| faults.crash_iteration(pe - 1).map(|d| d.max(1)))
-        .flatten();
-    let death_high = (pe + 1 < n)
-        .then(|| faults.crash_iteration(pe + 1).map(|d| d.max(1)))
-        .flatten();
-    let mut retries = 0u64;
-
-    for t in 1..=iters {
-        // ① Scheduled death: drain in-flight puts (an nbi put reads its
-        // source at delivery time — the final halos must leave intact),
-        // scrub the slab (nobody may read it — the boundary values
-        // survivors need already live in their halos) and stop forever.
-        if my_death == Some(t) {
-            sh.quiet(k);
-            if k.exec_mode() == ExecMode::Full {
-                dom.gen[0].local(pe).fill(f64::NAN);
-                dom.gen[1].local(pe).fill(f64::NAN);
-            }
-            k.busy(Category::Api, "degraded.die", sim_des::us(1.0));
-            return retries;
-        }
-
-        // ② Halo waits, clamped at a dead neighbor's last commit. The
-        // `from` identity keeps any hang attributable to a wait-for edge.
-        if pe > 0 {
-            let target = death_low.map_or(t - 1, |d| (t - 1).min(d - 1));
-            sh.signal_wait_from(k, &dom.sig_from_low, Cmp::Ge, target, pe - 1);
-        }
-        if pe + 1 < n {
-            let target = death_high.map_or(t - 1, |d| (t - 1).min(d - 1));
-            sh.signal_wait_from(k, &dom.sig_from_high, Cmp::Ge, target, pe + 1);
-        }
-
-        // ③ Freeze a dying neighbor's halo: at its death iteration the
-        // newest halo (generation d-1, just waited for in this iteration's
-        // read generation) is copied into the other generation, so both
-        // ping-pong halves carry the final boundary forever after.
-        if k.exec_mode() == ExecMode::Full {
-            if death_low == Some(t) {
-                let mut row = vec![0.0; le];
-                dom.read_gen(t)
-                    .local(pe)
-                    .read_slice(dom.low_halo_off(), &mut row);
-                dom.write_gen(t)
-                    .local(pe)
-                    .write_slice(dom.low_halo_off(), &row);
-            }
-            if death_high == Some(t) {
-                let mut row = vec![0.0; le];
-                dom.read_gen(t)
-                    .local(pe)
-                    .read_slice(dom.high_halo_off(pe), &mut row);
-                dom.write_gen(t)
-                    .local(pe)
-                    .write_slice(dom.high_halo_off(pe), &row);
-            }
-        }
-
-        // ④ One full sweep, stretched by straggler windows.
-        let straggle = faults.compute_mult(pe, k.now());
-        let geo = Arc::clone(&dom.geo);
-        let read = dom.read_gen(t).local(pe).clone();
-        let write = dom.write_gen(t).local(pe).clone();
-        compute_phase(
-            k,
-            &w,
-            w.total_points(),
-            1.0,
-            1.0,
-            straggle,
-            "degraded.sweep",
-            || geo.sweep(&read, &write, (1, layers)),
-        );
-
-        // ⑤ Commit boundary layers to *living* neighbors' halos, reliably.
-        // (Transfers over a killed link reroute inside the transport.)
-        let wg = dom.write_gen(t);
-        if pe > 0 && death_low.is_none_or(|d| t < d) {
-            retries += (sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.high_halo_off(pe - 1),
-                wg.local(pe),
-                dom.first_layer_off(),
-                le,
-                &dom.sig_from_high,
-                SignalOp::Set,
-                t,
-                pe - 1,
-            ) - 1) as u64;
-        }
-        if pe + 1 < n && death_high.is_none_or(|d| t < d) {
-            retries += (sh.putmem_signal_reliable(
-                k,
-                wg,
-                dom.low_halo_off(),
-                wg.local(pe),
-                dom.last_layer_off(pe),
-                le,
-                &dom.sig_from_low,
-                SignalOp::Set,
-                t,
-                pe + 1,
-            ) - 1) as u64;
-        }
-        k.grid_sync();
-    }
-    retries
-}
-
-/// Deterministic sum of `pe`'s owned interior (ascending element order) —
-/// the value each survivor contributes to the final quorum allreduce.
-fn local_field_sum(dom: &Domain, pe: usize) -> f64 {
-    if dom.cfg.exec != ExecMode::Full || dom.cfg.no_compute {
-        return 0.0;
-    }
-    let le = dom.layer_elems();
-    let mut owned = vec![0.0; dom.layers(pe) * le];
-    dom.final_gen().local(pe).read_slice(le, &mut owned);
-    owned.iter().fold(0.0, |acc, v| acc + v)
 }
 
 /// The sequential oracle for degraded runs: a full-grid ping-pong sweep in
