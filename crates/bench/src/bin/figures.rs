@@ -4,11 +4,14 @@
 //! cargo run -p cpufree-bench --release --bin figures            # everything
 //! cargo run -p cpufree-bench --release --bin figures -- fig6_1  # one figure
 //! cargo run -p cpufree-bench --release --bin figures -- --json  # + BENCH_*.json
+//! cargo run -p cpufree-bench --release --bin figures -- --json --check
 //! ```
 //!
 //! With `--json`, every point-based figure also lands in a
 //! `BENCH_<figure>.json` file in the working directory (plain arrays of
-//! objects, times in nanoseconds) for external plotting.
+//! objects, times in nanoseconds) for external plotting. With `--json
+//! --check`, nothing is written: the aggregate `BENCH_figures.json` is
+//! regenerated in memory and compared with the committed file.
 
 use cpufree_bench::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,6 +19,9 @@ use std::sync::Mutex;
 
 /// Set once in `main` when `--json` is passed.
 static JSON: AtomicBool = AtomicBool::new(false);
+
+/// Set once in `main` by `--json --check`: collect, but write no file.
+static CHECK: AtomicBool = AtomicBool::new(false);
 
 /// Every `(figure, body)` written this run, in emission order — folded into
 /// the aggregate `BENCH_figures.json` at the end of a full `--json` run.
@@ -93,26 +99,26 @@ fn write_json(name: &str, body: String) {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    let path = format!("BENCH_{slug}.json");
-    std::fs::write(&path, &body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("[wrote {path}]");
+    if !CHECK.load(Ordering::Relaxed) {
+        let path = format!("BENCH_{slug}.json");
+        std::fs::write(&path, &body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("[wrote {path}]");
+    }
     COLLECTED.lock().unwrap().push((slug, body));
 }
 
 /// Fold every figure emitted this run into one `BENCH_figures.json` keyed by
 /// figure slug. All embedded data is virtual-time (nanoseconds from the
-/// deterministic engine), so regenerating the file is byte-identical — CI
-/// diffs it against the committed copy.
-fn write_aggregate_json() {
+/// deterministic engine), so regenerating the file is byte-identical — with
+/// `check`, the committed copy must equal it.
+fn write_aggregate_json(check: bool) -> Result<(), String> {
     let collected = COLLECTED.lock().unwrap();
     let items: Vec<String> = collected
         .iter()
         .map(|(name, body)| format!("  \"{name}\": {}", body.trim_end().replace('\n', "\n  ")))
         .collect();
-    let path = "BENCH_figures.json";
-    std::fs::write(path, format!("{{\n{}\n}}\n", items.join(",\n")))
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("[wrote {path}]");
+    let body = format!("{{\n{}\n}}\n", items.join(",\n"));
+    write_or_check("BENCH_figures.json", "--json", check, &body, None)
 }
 
 fn print_points(rows: &[Point]) {
@@ -562,9 +568,10 @@ fn des_core_deterministic_json(rows: &[DesCoreRow]) -> String {
 /// `figures des_core [--check] [--shards N]`: run the DES-core
 /// micro-benchmarks, including the serial-vs-sharded 64-agent ring
 /// allreduce at `N` intra-run shards. Without `--check`, writes
-/// `BENCH_des_core.json` (deterministic block + measured events/sec
-/// snapshot). With `--check`, regenerates the deterministic block and
-/// requires the committed file to contain it byte for byte — the
+/// `BENCH_des_core.json` (deterministic block + measured events/sec and
+/// handoff snapshot, labelled with the host). With `--check`, regenerates
+/// the deterministic block and requires the committed file to contain it
+/// byte for byte — the
 /// wall-clock half is never diffed. The deterministic block is identical
 /// at every `--shards` (asserted inside [`des_core_rows_with`]), so the
 /// gate holds no matter which shard count CI picks.
@@ -575,17 +582,18 @@ fn des_core(check: bool, shards: usize) -> i32 {
     println!("== DES core — engine hot-path throughput ==");
     let rows = des_core_rows_with(shards);
     println!(
-        "{:<28} {:>14} {:>10} {:>12} {:>14}",
-        "workload", "virtual end", "events", "wall", "events/sec"
+        "{:<28} {:>14} {:>10} {:>12} {:>14} {:>10}",
+        "workload", "virtual end", "events", "wall", "events/sec", "handoffs"
     );
     for r in &rows {
         println!(
-            "{:<28} {:>12}ns {:>10} {:>12} {:>14.0}",
+            "{:<28} {:>12}ns {:>10} {:>12} {:>14.0} {:>10}",
             r.name,
             r.end_ns,
             r.events,
             format!("{:.2?}", r.wall),
-            r.events_per_sec()
+            r.events_per_sec(),
+            r.handoffs
         );
     }
     let det = des_core_deterministic_json(&rows);
@@ -593,21 +601,39 @@ fn des_core(check: bool, shards: usize) -> i32 {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\":\"{}\",\"wall_ns\":{},\"events_per_sec\":{:.0}}}",
+                "    {{\"name\":\"{}\",\"wall_ns\":{},\"events_per_sec\":{:.0},\"handoffs\":{}}}",
                 r.name,
                 r.wall.as_nanos(),
-                r.events_per_sec()
+                r.events_per_sec(),
+                r.handoffs
             )
         })
         .collect();
     let body = format!(
-        "{{\n{det},\n  \"measured\": [\n{}\n  ]\n}}\n",
+        "{{\n{det},\n  \"measured_host\": {},\n  \"measured\": [\n{}\n  ]\n}}\n",
+        host_json(),
         measured.join(",\n")
     );
     // The wall-clock half is machine-local: only the deterministic block
     // is gated.
     let gate = write_or_check("BENCH_des_core.json", "des_core", check, &body, Some(&det));
     i32::from(gate.is_err())
+}
+
+/// `{"nproc":N,"cpu":"…"}`: the host a wall-clock block was measured on
+/// (CPUs this process may use, and the CPU model where Linux reports it).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|l| l.split_once(':'))
+                .find(|(key, _)| key.trim() == "model name")
+                .map(|(_, model)| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!("{{\"nproc\":{nproc},\"cpu\":\"{cpu}\"}}")
 }
 
 /// `BENCH_traffic.json` body — the AI traffic-pattern sweep over the
@@ -926,6 +952,12 @@ fn main() {
         }
         std::process::exit(cost(check, jobs));
     }
+    // `--json --check` gates the aggregate, which covers every figure, so
+    // it names no section.
+    if JSON.load(Ordering::Relaxed) && args == ["--check"] {
+        args.clear();
+        CHECK.store(true, Ordering::Relaxed);
+    }
     let all = args.is_empty();
     let want = |name: &str| all || args.iter().any(|a| a == name);
     if want("fig2_1") {
@@ -985,6 +1017,7 @@ fn main() {
         println!();
     }
     if all && JSON.load(Ordering::Relaxed) {
-        write_aggregate_json();
+        let gate = write_aggregate_json(CHECK.load(Ordering::Relaxed));
+        std::process::exit(i32::from(gate.is_err()));
     }
 }

@@ -968,8 +968,8 @@ pub fn verify_corpus_jobs(jobs: usize) -> Vec<dace_sim::verify::VerifyReport> {
 ///
 /// `end_ns` and `events` come from the deterministic engine and are
 /// CI-gated against the committed `BENCH_des_core.json`; `wall` is host
-/// wall clock and is recorded as a snapshot only (the events/sec
-/// trajectory), never diffed.
+/// wall clock and `handoffs` a host-side engine counter, both recorded as
+/// a snapshot only (the events/sec trajectory), never diffed.
 #[derive(Debug, Clone)]
 pub struct DesCoreRow {
     /// Workload name.
@@ -980,6 +980,9 @@ pub struct DesCoreRow {
     pub events: u64,
     /// Host wall clock of the run (measured).
     pub wall: std::time::Duration,
+    /// Execution-token passes between OS threads (summed over engines and
+    /// shards; varies with the shard count, so not gated).
+    pub handoffs: u64,
 }
 
 impl DesCoreRow {
@@ -1010,16 +1013,21 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
     use sim_des::{ns, Category, Cmp, Engine, SignalOp};
     use std::time::Instant;
 
-    fn timed(name: &'static str, f: impl Fn() -> (u64, u64)) -> DesCoreRow {
+    /// Each workload returns `(end_ns, events, handoffs)`.
+    fn timed(name: &'static str, f: impl Fn() -> (u64, u64, u64)) -> DesCoreRow {
         let _ = f(); // warmup
         let t0 = Instant::now();
-        let (end_ns, events) = f();
+        let (end_ns, events, handoffs) = f();
         DesCoreRow {
             name,
             end_ns,
             events,
             wall: t0.elapsed(),
+            handoffs,
         }
+    }
+    fn counted(engine: &Engine, end: sim_des::SimTime) -> (u64, u64, u64) {
+        (end.as_nanos(), engine.events_processed(), engine.handoffs())
     }
 
     let rows = vec![
@@ -1041,7 +1049,7 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
                 }
             });
             let end = engine.run().expect("pingpong run");
-            (end.as_nanos(), engine.events_processed())
+            counted(&engine, end)
         }),
         timed("trace_busy_4x1000", || {
             let engine = Engine::new();
@@ -1054,7 +1062,7 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
                 });
             }
             let end = engine.run().expect("trace_busy run");
-            (end.as_nanos(), engine.events_processed())
+            counted(&engine, end)
         }),
         timed("barrier_8x200", || {
             let engine = Engine::new();
@@ -1069,7 +1077,7 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
                 });
             }
             let end = engine.run().expect("barrier run");
-            (end.as_nanos(), engine.events_processed())
+            counted(&engine, end)
         }),
         timed("batch_8x_pingpong_2x200", || {
             let runs = sim_des::par_map(sim_des::default_jobs(), (0..8u64).collect(), |_| {
@@ -1090,20 +1098,22 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
                     }
                 });
                 let end = engine.run().expect("batch pingpong run");
-                (end.as_nanos(), engine.events_processed())
+                counted(&engine, end)
             });
-            let end = runs.iter().map(|(e, _)| *e).max().unwrap_or(0);
-            let events = runs.iter().map(|(_, n)| *n).sum();
-            (end, events)
+            let end = runs.iter().map(|r| r.0).max().unwrap_or(0);
+            let events = runs.iter().map(|r| r.1).sum();
+            let handoffs = runs.iter().map(|r| r.2).sum();
+            (end, events, handoffs)
         }),
         timed("ring_allreduce_64x63@serial", || {
-            let run = sharded::ring_allreduce_plain(gpu_sim::TopologyKind::NvlinkRing, 64, 1);
-            (run.end_ns, run.events)
+            let (run, c) =
+                sharded::ring_allreduce_plain_counted(gpu_sim::TopologyKind::NvlinkRing, 64, 1);
+            (run.end_ns, run.events, c.handoffs)
         }),
         timed("ring_allreduce_64x63@sharded", move || {
-            let (run, _) =
-                sharded::ring_allreduce(gpu_sim::TopologyKind::NvlinkRing, 64, 1, shards);
-            (run.end_ns, run.events)
+            let (run, c) =
+                sharded::ring_allreduce_counted(gpu_sim::TopologyKind::NvlinkRing, 64, 1, shards);
+            (run.end_ns, run.events, c.handoffs)
         }),
     ];
     // The sharded ring must be indistinguishable from the serial oracle in

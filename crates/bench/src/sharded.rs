@@ -51,6 +51,16 @@ impl RingRun {
     }
 }
 
+/// Host-side counters of one ring run. Unlike [`RingRun`], they depend on
+/// the engine that ran it and on its shard count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingCounters {
+    /// Cross-shard messages delivered (0 on the serial engine).
+    pub cross_messages: u64,
+    /// Execution-token passes between OS threads, summed over shards.
+    pub handoffs: u64,
+}
+
 /// Seeded input value of agent `i`.
 fn input(seed: u64, i: usize) -> u64 {
     mix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 1_000_003
@@ -85,6 +95,17 @@ pub fn ring_allreduce(
     seed: u64,
     shards: usize,
 ) -> (RingRun, u64) {
+    let (run, counters) = ring_allreduce_counted(kind, agents, seed, shards);
+    (run, counters.cross_messages)
+}
+
+/// [`ring_allreduce`] with every host-side counter of the run.
+pub fn ring_allreduce_counted(
+    kind: TopologyKind,
+    agents: usize,
+    seed: u64,
+    shards: usize,
+) -> (RingRun, RingCounters) {
     assert!(agents >= 2, "ring needs at least two agents");
     let cost = CostModel::a100_hgx();
     let topo = Topology::build(kind, agents, &cost);
@@ -147,13 +168,25 @@ pub fn ring_allreduce(
             events: eng.events_processed(),
             checksum: expected,
         },
-        eng.cross_messages(),
+        RingCounters {
+            cross_messages: eng.cross_messages(),
+            handoffs: eng.handoffs(),
+        },
     )
 }
 
 /// The identical protocol on a single serial [`Engine`]: the differential
 /// oracle every sharded run must match bit-for-bit.
 pub fn ring_allreduce_plain(kind: TopologyKind, agents: usize, seed: u64) -> RingRun {
+    ring_allreduce_plain_counted(kind, agents, seed).0
+}
+
+/// [`ring_allreduce_plain`] with the serial engine's host-side counters.
+pub fn ring_allreduce_plain_counted(
+    kind: TopologyKind,
+    agents: usize,
+    seed: u64,
+) -> (RingRun, RingCounters) {
     assert!(agents >= 2, "ring needs at least two agents");
     let cost = CostModel::a100_hgx();
     let topo = Topology::build(kind, agents, &cost);
@@ -200,11 +233,17 @@ pub fn ring_allreduce_plain(kind: TopologyKind, agents: usize, seed: u64) -> Rin
     for (i, &r) in result.iter().enumerate() {
         assert_eq!(eng.flag_value(r), expected, "agent {i} (serial) diverged");
     }
-    RingRun {
-        end_ns: end.as_nanos(),
-        events: eng.events_processed(),
-        checksum: expected,
-    }
+    (
+        RingRun {
+            end_ns: end.as_nanos(),
+            events: eng.events_processed(),
+            checksum: expected,
+        },
+        RingCounters {
+            cross_messages: 0,
+            handoffs: eng.handoffs(),
+        },
+    )
 }
 
 /// Hierarchical barrier storm: `agents` agents in fixed groups of

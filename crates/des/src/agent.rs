@@ -1,7 +1,7 @@
 //! The agent-side API: what simulated code is written against.
 
 use crate::engine::SimError;
-use crate::engine::{spawn_agent, AbortSim, BlockedInfo, Request, Shared, ShutdownUnwind, Turn};
+use crate::engine::{block, spawn_agent, AbortSim, BlockedInfo, Request, Shared};
 use crate::intern::{Label, Sym};
 use crate::lock::Condvar;
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
@@ -27,9 +27,10 @@ pub struct WaitTimedOut {
 
 /// Handle through which an agent interacts with virtual time and its peers.
 ///
-/// Methods that *block* (`advance`, `wait_flag`, `barrier`, `yield_now`) hand
-/// the execution token back to the scheduler; everything else is immediate
-/// and charges no virtual time.
+/// Methods that *block* (`advance`, `wait_flag`, `barrier`, `yield_now`) give
+/// up the execution token: the blocking agent runs the event loop itself and
+/// wakes the next agent due (or carries on, when that is itself).
+/// Everything else is immediate and charges no virtual time.
 ///
 /// Label-taking methods accept anything convertible to
 /// [`Label`](crate::Label): string literals and `format!` results work
@@ -69,22 +70,10 @@ impl AgentCtx {
         self.shared.central.lock().clock
     }
 
-    /// Hand the token to the scheduler and park until resumed.
+    /// Apply `req`, pass the token to the next agent due, and park until
+    /// resumed.
     fn handoff(&mut self, req: Request) {
-        let mut g = self.shared.central.lock();
-        g.request = Some((self.id, req));
-        g.turn = Turn::Scheduler;
-        self.shared.sched_cv.notify_one();
-        loop {
-            if g.shutdown {
-                drop(g);
-                resume_unwind(Box::new(ShutdownUnwind));
-            }
-            if matches!(g.turn, Turn::Agent(a) if a == self.id) {
-                return;
-            }
-            self.cv.wait(&mut g);
-        }
+        block(&self.shared, self.id, &self.cv, req);
     }
 
     /// Charge `dur` of virtual time to this agent (blocking).
@@ -330,9 +319,12 @@ impl AgentCtx {
     ///
     /// Used to materialize asynchronous effects at their completion time —
     /// e.g. a DMA engine writing transferred bytes into the destination
-    /// buffer. The closure runs on the scheduler thread and must not call
-    /// back into the engine; pair it with [`AgentCtx::schedule_signal`] (the
-    /// call is executed before a signal scheduled afterwards at equal time).
+    /// buffer. The closure runs on whichever thread holds the token and is
+    /// running the event loop (an agent's, or the one in
+    /// [`Engine::run`](crate::Engine::run)), and must not call back into the
+    /// engine; pair it with [`AgentCtx::schedule_signal`] (the call is
+    /// executed before a signal scheduled afterwards at equal time). A panic
+    /// in the closure stops the run and is re-raised from `Engine::run`.
     pub fn schedule_call(&self, delay: SimDur, f: impl FnOnce() + Send + 'static) {
         let mut g = self.shared.central.lock();
         let t = g.clock + delay;

@@ -5,12 +5,17 @@
 //! Agents are imperative routines (host threads, persistent-kernel thread
 //! blocks, stream workers, …) written as ordinary Rust closures against
 //! [`AgentCtx`](crate::agent::AgentCtx). Each agent runs on its own OS thread,
-//! but **exactly one thread is ever runnable at a time**: control ping-pongs
-//! between the scheduler (the thread that called [`Engine::run`]) and the
-//! single agent it has resumed. The result is a sequential, fully
-//! deterministic simulation in which agent code can block (`advance`,
-//! `wait_flag`, `barrier`) with ordinary imperative control flow — no hand
-//! written state machines, no async.
+//! but **exactly one thread holds the execution token at a time**. There is
+//! no scheduler thread: when an agent blocks (`advance`, `wait_flag`,
+//! `barrier`), it applies its own request, runs the event loop itself under
+//! the engine lock until the loop pops the next `Resume`, and wakes only that
+//! agent (direct handoff). An agent that is its own successor keeps running
+//! with no thread switch. The thread that called [`Engine::run`] is one more
+//! token holder: it starts the loop and parks until some holder stops the
+//! run (every agent done, window limit, deadlock, panic or abort). The
+//! result is a sequential, fully deterministic simulation in which agent
+//! code can block with ordinary imperative control flow — no hand written
+//! state machines, no async.
 //!
 //! # Determinism
 //!
@@ -18,7 +23,8 @@
 //! sequence number increases monotonically with every enqueue. Two runs of
 //! the same program therefore execute agents in the identical order and
 //! produce identical virtual end times (and identical buffer contents in the
-//! layers above).
+//! layers above). Which thread happens to run the loop never enters the
+//! order.
 //!
 //! # Hot path
 //!
@@ -33,14 +39,15 @@ use crate::agent::{AgentCtx, AgentId};
 use crate::fault::mix64;
 use crate::hb::{AsyncClock, HbTracker};
 use crate::intern::{Label, Sym, SymPool};
-use crate::lock::{Condvar, Mutex};
+use crate::lock::{Condvar, Mutex, MutexGuard};
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Trace, TraceSpan};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -158,21 +165,23 @@ pub enum RunStatus {
     },
 }
 
-/// How an agent's closure ended.
-pub(crate) enum FinishKind {
-    /// Returned normally.
-    Ok,
-    /// Panicked with the rendered message.
-    Panic(String),
-    /// Requested a structured simulation abort (see [`AgentCtx::abort`]).
-    Abort(SimError),
+/// Why the event loop stopped: what the thread in [`Engine::run`] /
+/// [`Engine::run_until`] reports once the token comes back to it.
+enum Outcome {
+    /// The run is over or its window is exhausted.
+    Status(RunStatus),
+    /// Deadlock, agent panic or structured abort.
+    Error(SimError),
+    /// A `schedule_call` closure (or the loop itself) panicked; the payload
+    /// is re-raised on the run's thread.
+    Panic(Box<dyn Any + Send>),
 }
 
 /// Panic payload used by [`AgentCtx::abort`] to carry a structured
 /// [`SimError`] out of an agent closure.
 pub(crate) struct AbortSim(pub(crate) SimError);
 
-/// What an agent asks of the scheduler when it hands control back.
+/// What a blocking agent asks of the engine before it runs the event loop.
 pub(crate) enum Request {
     /// Charge virtual time, resume at `now + dur`.
     Advance(SimDur),
@@ -193,8 +202,6 @@ pub(crate) enum Request {
     },
     /// Resume after other same-time work.
     Yield,
-    /// Agent closure ended.
-    Finished(FinishKind),
 }
 
 /// A queue entry: something that happens at a virtual time.
@@ -209,8 +216,10 @@ enum Action {
         stamp: Option<AsyncClock>,
     },
     /// Run a side-effect closure (e.g. materialize DMA data at completion
-    /// time). Executed on the scheduler thread, outside the engine lock; the
-    /// closure must not call back into the engine.
+    /// time). Executed by whichever thread holds the token and is running
+    /// the event loop, outside the engine lock; the closure must not call
+    /// back into the engine. A panic stops the run and is re-raised on the
+    /// thread in [`Engine::run`].
     Call(Box<dyn FnOnce() + Send>),
     /// A deadline for a bounded wait. Stale once the agent's wait epoch has
     /// moved on (the wait completed first); stale fires are skipped WITHOUT
@@ -265,8 +274,11 @@ impl Ord for HeapKey {
     }
 }
 
-pub(crate) enum Turn {
-    Scheduler,
+/// Who holds the execution token.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// The thread in [`Engine::run`] / [`Engine::run_until`].
+    Driver,
     Agent(AgentId),
 }
 
@@ -302,9 +314,18 @@ struct AgentSlot {
 }
 
 pub(crate) struct Central {
-    pub(crate) turn: Turn,
+    turn: Turn,
     pub(crate) clock: SimTime,
-    pub(crate) shutdown: bool,
+    shutdown: bool,
+    /// Events at or past this time end the current window (`run_until`).
+    limit: Option<SimTime>,
+    /// Set by the holder that stops the run; taken by the driver.
+    stop: Option<Outcome>,
+    /// Join handles of finished agents, joined by the next thread to take
+    /// the token so thread stacks do not pile up.
+    reap: Vec<JoinHandle<()>>,
+    /// Token passes to a different thread.
+    handoffs: u64,
     seq: u64,
     /// Ordering keys; payloads live in `slab`.
     queue: BinaryHeap<HeapKey>,
@@ -322,7 +343,6 @@ pub(crate) struct Central {
     /// wait-cycle detection never rebuilds a map from scratch.
     by_identity: HashMap<Sym, Vec<usize>>,
     live_agents: usize,
-    pub(crate) request: Option<(AgentId, Request)>,
     pub(crate) trace: Trace,
     trace_enabled: bool,
     /// Shared with [`Shared::pool`]; lets lock-holding diagnostics resolve
@@ -455,6 +475,12 @@ impl Central {
                 hb.on_wait_satisfied(agent, flag, at);
             }
         }
+        self.wake(at, woken);
+    }
+
+    /// Make a batch of simultaneously released agents runnable at `at`, in
+    /// FIFO (or jittered) order.
+    fn wake(&mut self, at: SimTime, mut woken: Vec<AgentId>) {
         self.permute_woken(&mut woken);
         for agent in woken {
             self.clear_wait(agent);
@@ -482,6 +508,83 @@ impl Central {
         let slot = &mut self.agents[agent.0];
         slot.waiting_for = None;
         slot.wait_target = None;
+    }
+
+    /// Apply a blocking agent's request at the current clock: queue its
+    /// resume, or park it on a flag / barrier (releasing the barrier when it
+    /// is the last arrival).
+    fn apply_request(&mut self, agent: AgentId, request: Request) {
+        match request {
+            Request::Advance(dur) => {
+                let t = self.clock + dur;
+                self.push(t, Action::Resume(agent));
+            }
+            Request::WaitFlag {
+                flag,
+                cmp,
+                value,
+                deadline,
+                expected_from,
+            } => {
+                if cmp.eval(self.flags[flag.0].value, value) {
+                    let t = self.clock;
+                    if let Some(hb) = &self.hb {
+                        hb.on_wait_satisfied(agent, flag, t);
+                    }
+                    self.push(t, Action::Resume(agent));
+                } else {
+                    let epoch = {
+                        let slot = &mut self.agents[agent.0];
+                        slot.waiting_for = expected_from;
+                        slot.wait_target = Some(BlockedOn::Flag { flag, cmp, value });
+                        slot.wait_epoch += 1;
+                        slot.wait_epoch
+                    };
+                    self.flags[flag.0].waiters.push((agent, cmp, value));
+                    if let Some(d) = deadline {
+                        let d = d.max(self.clock);
+                        self.push(d, Action::TimeoutFire { agent, epoch });
+                    }
+                }
+            }
+            Request::Barrier {
+                barrier: b,
+                deadline,
+            } => {
+                let epoch = {
+                    let slot = &mut self.agents[agent.0];
+                    slot.wait_target = Some(BlockedOn::Barrier(b));
+                    slot.wait_epoch += 1;
+                    slot.wait_epoch
+                };
+                self.barriers[b.0].waiting.push(agent);
+                if self.barriers[b.0].waiting.len() == self.barriers[b.0].parties {
+                    let t = self.clock;
+                    let woken = std::mem::take(&mut self.barriers[b.0].waiting);
+                    if let Some(hb) = &self.hb {
+                        hb.on_barrier_release(&woken, b, t);
+                    }
+                    self.wake(t, woken);
+                } else if let Some(d) = deadline {
+                    let d = d.max(self.clock);
+                    self.push(d, Action::TimeoutFire { agent, epoch });
+                }
+            }
+            Request::Yield => {
+                let t = self.clock;
+                self.push(t, Action::Resume(agent));
+            }
+        }
+    }
+
+    /// Mark a finished agent dead; its thread is joined by the next holder.
+    fn retire(&mut self, agent: AgentId) {
+        let slot = &mut self.agents[agent.0];
+        slot.alive = false;
+        if let Some(h) = slot.handle.take() {
+            self.reap.push(h);
+        }
+        self.live_agents -= 1;
     }
 
     /// Declare an agent's identity, keeping the `by_identity` index current.
@@ -603,9 +706,10 @@ impl Central {
 
 pub(crate) struct Shared {
     pub(crate) central: Mutex<Central>,
-    pub(crate) sched_cv: Condvar,
+    /// Wakes the thread in [`Engine::run`] when the run stops.
+    driver_cv: Condvar,
     /// The engine-wide symbol pool. Deliberately *outside* the central lock
-    /// so agents intern labels without serializing on the scheduler.
+    /// so agents intern labels without serializing on the engine.
     pub(crate) pool: Arc<SymPool>,
 }
 
@@ -646,9 +750,13 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 central: Mutex::new(Central {
-                    turn: Turn::Scheduler,
+                    turn: Turn::Driver,
                     clock: SimTime::ZERO,
                     shutdown: false,
+                    limit: None,
+                    stop: None,
+                    reap: Vec::new(),
+                    handoffs: 0,
                     seq: 0,
                     queue: BinaryHeap::new(),
                     slab: Vec::new(),
@@ -659,7 +767,6 @@ impl Engine {
                     agents: Vec::new(),
                     by_identity: HashMap::new(),
                     live_agents: 0,
-                    request: None,
                     trace: Trace::with_pool(Arc::clone(&pool)),
                     trace_enabled: true,
                     pool: Arc::clone(&pool),
@@ -667,7 +774,7 @@ impl Engine {
                     jitter: None,
                     jitter_ctr: 0,
                 }),
-                sched_cv: Condvar::new(),
+                driver_cv: Condvar::new(),
                 pool,
             }),
         }
@@ -716,6 +823,12 @@ impl Engine {
         self.shared.central.lock().events
     }
 
+    /// Execution-token passes to a different OS thread so far: one per
+    /// thread switch. An agent that is its own successor costs none.
+    pub fn handoffs(&self) -> u64 {
+        self.shared.central.lock().handoffs
+    }
+
     /// Virtual time of the engine clock.
     pub fn now(&self) -> SimTime {
         self.shared.central.lock().clock
@@ -734,7 +847,7 @@ impl Engine {
     /// Spawn an agent, runnable at the current virtual time.
     ///
     /// Returns its id. The closure runs on a dedicated OS thread, but only
-    /// when the scheduler hands it the (single) execution token.
+    /// while it holds the (single) execution token.
     pub fn spawn<'a, F>(&self, name: impl Into<Label<'a>>, f: F) -> AgentId
     where
         F: FnOnce(&mut AgentCtx) + Send + 'static,
@@ -841,176 +954,26 @@ impl Engine {
         self.shared.central.lock().blocked_details()
     }
 
+    /// Start the event loop on this thread, then park until a token holder
+    /// stops the run, and report why.
     fn drive(&self, limit: Option<SimTime>) -> Result<RunStatus, SimError> {
-        let mut g = self.shared.central.lock();
-        loop {
-            let next = g.peek_time();
-            let runnable = match (next, limit) {
-                (Some(t), Some(l)) => t < l,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if !runnable {
-                if next.is_none() && g.live_agents == 0 {
-                    return Ok(RunStatus::Done);
-                }
-                if limit.is_some() {
-                    return Ok(RunStatus::Idle { next });
-                }
-                let time = g.clock;
-                let blocked = g.blocked_strings();
-                let cycle = g.wait_cycle();
-                return Err(SimError::Deadlock {
-                    time,
-                    blocked,
-                    cycle,
-                });
+        let shared = &*self.shared;
+        let mut g = shared.central.lock();
+        g.limit = limit;
+        let g = pass_token(shared, g, Turn::Driver).unwrap_or_else(|| {
+            let mut g = shared.central.lock();
+            while g.turn != Turn::Driver {
+                shared.driver_cv.wait(&mut g);
             }
-            let (time, action) = g.pop_event().expect("peeked event vanished");
-            if let Action::TimeoutFire { agent, epoch } = action {
-                let live = {
-                    let slot = &g.agents[agent.0];
-                    slot.alive && slot.wait_epoch == epoch && slot.wait_target.is_some()
-                };
-                if !live {
-                    // The wait completed first; drop the deadline WITHOUT
-                    // touching the clock so it cannot distort end times.
-                    continue;
-                }
-                g.clock = time;
-                match g.agents[agent.0].wait_target {
-                    Some(BlockedOn::Flag { flag, .. }) => {
-                        g.flags[flag.0].waiters.retain(|&(a, _, _)| a != agent);
-                    }
-                    Some(BlockedOn::Barrier(b)) => {
-                        g.barriers[b.0].waiting.retain(|&a| a != agent);
-                    }
-                    None => unreachable!("live timeout without wait target"),
-                }
-                g.clear_wait(agent);
-                g.agents[agent.0].timed_out = true;
-                let t = g.clock;
-                g.push(t, Action::Resume(agent));
-                continue;
-            }
-            debug_assert!(time >= g.clock, "time went backwards");
-            g.clock = time;
-            match action {
-                Action::TimeoutFire { .. } => unreachable!("handled above"),
-                Action::Signal {
-                    flag,
-                    op,
-                    value,
-                    stamp,
-                } => {
-                    let at = g.clock;
-                    g.apply_signal(flag, op, value, at, stamp);
-                }
-                Action::Call(f) => {
-                    // Run outside the lock: the closure may take unrelated
-                    // locks (buffer mutexes) but must not re-enter the engine.
-                    drop(g);
-                    f();
-                    g = self.shared.central.lock();
-                }
-                Action::Resume(agent) => {
-                    // Hand the token to the agent and wait for it back.
-                    g.turn = Turn::Agent(agent);
-                    let cv = Arc::clone(&g.agents[agent.0].cv);
-                    cv.notify_one();
-                    while !matches!(g.turn, Turn::Scheduler) {
-                        self.shared.sched_cv.wait(&mut g);
-                    }
-                    let (id, request) = g.request.take().expect("agent yielded without request");
-                    debug_assert_eq!(id, agent);
-                    match request {
-                        Request::Advance(dur) => {
-                            let t = g.clock + dur;
-                            g.push(t, Action::Resume(agent));
-                        }
-                        Request::WaitFlag {
-                            flag,
-                            cmp,
-                            value,
-                            deadline,
-                            expected_from,
-                        } => {
-                            if cmp.eval(g.flags[flag.0].value, value) {
-                                let t = g.clock;
-                                if let Some(hb) = &g.hb {
-                                    hb.on_wait_satisfied(agent, flag, t);
-                                }
-                                g.push(t, Action::Resume(agent));
-                            } else {
-                                let epoch = {
-                                    let slot = &mut g.agents[agent.0];
-                                    slot.waiting_for = expected_from;
-                                    slot.wait_target = Some(BlockedOn::Flag { flag, cmp, value });
-                                    slot.wait_epoch += 1;
-                                    slot.wait_epoch
-                                };
-                                g.flags[flag.0].waiters.push((agent, cmp, value));
-                                if let Some(d) = deadline {
-                                    let d = d.max(g.clock);
-                                    g.push(d, Action::TimeoutFire { agent, epoch });
-                                }
-                            }
-                        }
-                        Request::Barrier {
-                            barrier: b,
-                            deadline,
-                        } => {
-                            let epoch = {
-                                let slot = &mut g.agents[agent.0];
-                                slot.wait_target = Some(BlockedOn::Barrier(b));
-                                slot.wait_epoch += 1;
-                                slot.wait_epoch
-                            };
-                            g.barriers[b.0].waiting.push(agent);
-                            if g.barriers[b.0].waiting.len() == g.barriers[b.0].parties {
-                                let t = g.clock;
-                                let mut woken = std::mem::take(&mut g.barriers[b.0].waiting);
-                                if let Some(hb) = &g.hb {
-                                    hb.on_barrier_release(&woken, b, t);
-                                }
-                                g.permute_woken(&mut woken);
-                                for w in woken {
-                                    g.clear_wait(w);
-                                    g.push(t, Action::Resume(w));
-                                }
-                            } else if let Some(d) = deadline {
-                                let d = d.max(g.clock);
-                                g.push(d, Action::TimeoutFire { agent, epoch });
-                            }
-                        }
-                        Request::Yield => {
-                            let t = g.clock;
-                            g.push(t, Action::Resume(agent));
-                        }
-                        Request::Finished(kind) => {
-                            g.agents[agent.0].alive = false;
-                            g.live_agents -= 1;
-                            if let Some(h) = g.agents[agent.0].handle.take() {
-                                // The thread is past its last handoff; join is
-                                // immediate and keeps the process tidy.
-                                drop(g);
-                                let _ = h.join();
-                                g = self.shared.central.lock();
-                            }
-                            match kind {
-                                FinishKind::Ok => {}
-                                FinishKind::Panic(message) => {
-                                    let agent_name = g.agent_name(agent).to_string();
-                                    return Err(SimError::AgentPanic {
-                                        agent: agent_name,
-                                        message,
-                                    });
-                                }
-                                FinishKind::Abort(err) => return Err(err),
-                            }
-                        }
-                    }
-                }
+            g
+        });
+        let mut g = reap(shared, g);
+        match g.stop.take().expect("the run stopped without an outcome") {
+            Outcome::Status(status) => Ok(status),
+            Outcome::Error(e) => Err(e),
+            Outcome::Panic(payload) => {
+                drop(g);
+                resume_unwind(payload)
             }
         }
     }
@@ -1028,11 +991,8 @@ impl Engine {
         for cv in &cvs {
             cv.notify_all();
         }
-        let handles: Vec<JoinHandle<()>> = g
-            .agents
-            .iter_mut()
-            .filter_map(|a| a.handle.take())
-            .collect();
+        let mut handles = std::mem::take(&mut g.reap);
+        handles.extend(g.agents.iter_mut().filter_map(|a| a.handle.take()));
         drop(g);
         for h in handles {
             let _ = h.join();
@@ -1048,6 +1008,162 @@ impl Drop for Engine {
 
 /// Sentinel panic payload used to unwind agents during shutdown.
 pub(crate) struct ShutdownUnwind;
+
+type Guard<'a> = MutexGuard<'a, Central>;
+
+/// Pop events on the calling thread until one resumes an agent, and return
+/// that agent's turn; or stop the run (the outcome goes into
+/// `Central::stop`) and return the driver's turn.
+fn next_turn<'a>(shared: &'a Shared, mut g: Guard<'a>) -> (Guard<'a>, Turn) {
+    // A finishing agent that failed has stopped the run already.
+    if g.stop.is_some() {
+        return (g, Turn::Driver);
+    }
+    loop {
+        let next = g.peek_time();
+        let runnable = match (next, g.limit) {
+            (Some(t), Some(l)) => t < l,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !runnable {
+            let outcome = if next.is_none() && g.live_agents == 0 {
+                Outcome::Status(RunStatus::Done)
+            } else if g.limit.is_some() {
+                Outcome::Status(RunStatus::Idle { next })
+            } else {
+                Outcome::Error(SimError::Deadlock {
+                    time: g.clock,
+                    blocked: g.blocked_strings(),
+                    cycle: g.wait_cycle(),
+                })
+            };
+            g.stop = Some(outcome);
+            return (g, Turn::Driver);
+        }
+        let (time, action) = g.pop_event().expect("peeked event vanished");
+        if let Action::TimeoutFire { agent, epoch } = action {
+            let live = {
+                let slot = &g.agents[agent.0];
+                slot.alive && slot.wait_epoch == epoch && slot.wait_target.is_some()
+            };
+            if !live {
+                // The wait completed first; drop the deadline WITHOUT
+                // touching the clock so it cannot distort end times.
+                continue;
+            }
+            g.clock = time;
+            match g.agents[agent.0].wait_target {
+                Some(BlockedOn::Flag { flag, .. }) => {
+                    g.flags[flag.0].waiters.retain(|&(a, _, _)| a != agent);
+                }
+                Some(BlockedOn::Barrier(b)) => {
+                    g.barriers[b.0].waiting.retain(|&a| a != agent);
+                }
+                None => unreachable!("live timeout without wait target"),
+            }
+            g.clear_wait(agent);
+            g.agents[agent.0].timed_out = true;
+            let t = g.clock;
+            g.push(t, Action::Resume(agent));
+            continue;
+        }
+        debug_assert!(time >= g.clock, "time went backwards");
+        g.clock = time;
+        match action {
+            Action::TimeoutFire { .. } => unreachable!("handled above"),
+            Action::Signal {
+                flag,
+                op,
+                value,
+                stamp,
+            } => {
+                let at = g.clock;
+                g.apply_signal(flag, op, value, at, stamp);
+            }
+            Action::Call(f) => {
+                // Run outside the lock: the closure may take unrelated
+                // locks (buffer mutexes) but must not re-enter the engine.
+                drop(g);
+                f();
+                g = shared.central.lock();
+            }
+            Action::Resume(agent) => return (g, Turn::Agent(agent)),
+        }
+    }
+}
+
+/// Run the event loop as the token holder `me`, then give the token to the
+/// turn it selects. Returns the guard when that is `me` again; otherwise
+/// unlocks, then wakes that thread (waking it under the lock would let it
+/// preempt us only to block on the mutex), and returns `None`. A panic in
+/// the loop (a `schedule_call` closure) stops the run with the payload, so
+/// it reaches the driver whichever thread was running the loop.
+fn pass_token<'a>(shared: &'a Shared, g: Guard<'a>, me: Turn) -> Option<Guard<'a>> {
+    let (mut g, next) = match catch_unwind(AssertUnwindSafe(move || next_turn(shared, g))) {
+        Ok(step) => step,
+        Err(payload) => {
+            let mut g = shared.central.lock();
+            g.stop = Some(Outcome::Panic(payload));
+            (g, Turn::Driver)
+        }
+    };
+    g.turn = next;
+    if next == me {
+        return Some(g);
+    }
+    g.handoffs += 1;
+    let agent_cv = match next {
+        Turn::Driver => None,
+        Turn::Agent(a) => Some(Arc::clone(&g.agents[a.0].cv)),
+    };
+    drop(g);
+    match agent_cv {
+        Some(cv) => cv.notify_one(),
+        None => shared.driver_cv.notify_one(),
+    }
+    None
+}
+
+/// Park agent `id` until it holds the token, then join any finished agent
+/// threads. `false` when the engine shuts down instead.
+fn await_turn(shared: &Shared, id: AgentId, cv: &Condvar) -> bool {
+    let mut g = shared.central.lock();
+    loop {
+        if g.shutdown {
+            return false;
+        }
+        if g.turn == Turn::Agent(id) {
+            reap(shared, g);
+            return true;
+        }
+        cv.wait(&mut g);
+    }
+}
+
+/// Join the threads of agents that finished since the token last moved.
+/// They are past their last engine access, so each join is immediate.
+fn reap<'a>(shared: &'a Shared, mut g: Guard<'a>) -> Guard<'a> {
+    if g.reap.is_empty() {
+        return g;
+    }
+    let handles = std::mem::take(&mut g.reap);
+    drop(g);
+    for h in handles {
+        let _ = h.join();
+    }
+    shared.central.lock()
+}
+
+/// A blocking call: apply `request`, run the loop and pass the token on,
+/// then park until the token comes back.
+pub(crate) fn block(shared: &Shared, id: AgentId, cv: &Condvar, request: Request) {
+    let mut g = shared.central.lock();
+    g.apply_request(id, request);
+    if pass_token(shared, g, Turn::Agent(id)).is_none() && !await_turn(shared, id, cv) {
+        resume_unwind(Box::new(ShutdownUnwind));
+    }
+}
 
 pub(crate) fn spawn_agent<F>(
     shared: &Arc<Shared>,
@@ -1082,26 +1198,20 @@ where
         g.push(t, Action::Resume(id));
     }
     let thread_shared = Arc::clone(shared);
-    let thread_cv = Arc::clone(&cv);
     let handle = std::thread::Builder::new()
         .name(format!("sim-agent-{}", id.0))
         .spawn(move || {
-            // Park until the scheduler hands us the token for the first time.
-            {
-                let mut g = thread_shared.central.lock();
-                while !matches!(g.turn, Turn::Agent(a) if a == id) {
-                    if g.shutdown {
-                        return;
-                    }
-                    thread_cv.wait(&mut g);
-                }
+            let shared = &*thread_shared;
+            // Park until the token reaches us for the first time.
+            if !await_turn(shared, id, &cv) {
+                return;
             }
-            let mut ctx = AgentCtx::new(Arc::clone(&thread_shared), id, Arc::clone(&thread_cv));
+            let mut ctx = AgentCtx::new(Arc::clone(&thread_shared), id, Arc::clone(&cv));
             let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let kind = match result {
-                Ok(()) => FinishKind::Ok,
+            let err = match result {
+                Ok(()) => None,
                 Err(payload) => match payload.downcast::<AbortSim>() {
-                    Ok(abort) => FinishKind::Abort(abort.0),
+                    Ok(abort) => Some(abort.0),
                     Err(payload) => {
                         if payload.downcast_ref::<ShutdownUnwind>().is_some() {
                             // Engine-initiated unwind: exit silently, the
@@ -1109,15 +1219,21 @@ where
                             // expectations.
                             return;
                         }
-                        FinishKind::Panic(render_panic(&*payload))
+                        Some(SimError::AgentPanic {
+                            agent: shared.central.lock().agent_name(id).to_string(),
+                            message: render_panic(&*payload),
+                        })
                     }
                 },
             };
-            // Final handoff: report completion to the scheduler.
-            let mut g = thread_shared.central.lock();
-            g.request = Some((id, Request::Finished(kind)));
-            g.turn = Turn::Scheduler;
-            thread_shared.sched_cv.notify_one();
+            // Retire, then pass the token on (an error stops the run) and
+            // exit; the next holder joins this thread.
+            let mut g = shared.central.lock();
+            g.retire(id);
+            if let Some(e) = err {
+                g.stop = Some(Outcome::Error(e));
+            }
+            drop(pass_token(shared, g, Turn::Agent(id)));
         })
         .expect("failed to spawn agent thread");
     shared.central.lock().agents[id.0].handle = Some(handle);

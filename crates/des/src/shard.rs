@@ -2,9 +2,9 @@
 //!
 //! [`ShardedEngine`] partitions the agents of a single simulation into
 //! *shards*, each backed by its own serial [`Engine`] (own slab event
-//! queue, own scheduler thread), and executes the shards concurrently
-//! under a classic conservative synchronization protocol (Chandy–Misra
-//! with a safe-horizon barrier, à la bounded lag):
+//! queue, driven from its own worker thread), and executes the shards
+//! concurrently under a classic conservative synchronization protocol
+//! (Chandy–Misra with a safe-horizon barrier, à la bounded lag):
 //!
 //! 1. Every cross-shard interaction is a timestamped message sent through
 //!    an [`XPort`] with a declared minimum `delay >= lookahead` — for
@@ -287,6 +287,12 @@ impl ShardedEngine {
     /// throughput unit as [`Engine::events_processed`]).
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|e| e.events_processed()).sum()
+    }
+
+    /// Execution-token passes between OS threads, summed over shards (see
+    /// [`Engine::handoffs`]).
+    pub fn handoffs(&self) -> u64 {
+        self.shards.iter().map(|e| e.handoffs()).sum()
     }
 
     /// Cross-shard messages delivered so far (diagnostic; counts only

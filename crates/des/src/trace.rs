@@ -112,9 +112,16 @@ impl Trace {
 
     /// Create an empty trace sharing an existing symbol pool (the engine
     /// passes its own so agent names and span labels resolve consistently).
+    ///
+    /// The span list is allocated here, on the thread that creates the
+    /// engine, not by the first agent to record a span. With glibc, a
+    /// buffer grows inside the malloc arena of the thread that first
+    /// allocated it, so every run's multi-megabyte trace stays in one arena
+    /// instead of landing in a different agent thread's arena each run and
+    /// ratcheting peak memory up run after run.
     pub fn with_pool(pool: Arc<SymPool>) -> Self {
         Trace {
-            spans: Vec::new(),
+            spans: Vec::with_capacity(64),
             pool,
         }
     }
