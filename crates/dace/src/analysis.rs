@@ -340,20 +340,21 @@ impl CommGraph {
     /// The PEs `pe` exchanges data with (puts, signals or messages, in
     /// either direction).
     pub fn partners(&self, pe: usize) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
+        self.partner_sets().swap_remove(pe)
+    }
+
+    /// [`CommGraph::partners`] of every PE, from one pass over the traces.
+    pub(crate) fn partner_sets(&self) -> Vec<BTreeSet<usize>> {
+        let mut out = vec![BTreeSet::new(); self.n_pes];
         for (p, trace) in self.traces.iter().enumerate() {
             for tev in &trace.evs {
-                let target = match &tev.ev {
-                    Ev::Put { dst_pe, .. }
-                    | Ev::Signal { dst_pe, .. }
-                    | Ev::Send { dst_pe, .. } => Some(*dst_pe),
-                    _ => None,
-                };
-                if let Some(q) = target {
-                    if p == pe && q != pe {
-                        out.insert(q);
-                    } else if q == pe && p != pe {
-                        out.insert(p);
+                if let Ev::Put { dst_pe: q, .. }
+                | Ev::Signal { dst_pe: q, .. }
+                | Ev::Send { dst_pe: q, .. } = tev.ev
+                {
+                    if q != p {
+                        out[p].insert(q);
+                        out[q].insert(p);
                     }
                 }
             }
@@ -368,9 +369,10 @@ impl CommGraph {
     /// the monitor would report spurious divergence (e.g. the row-wrap
     /// neighbors of a 2D process grid).
     pub fn iteration_eligible(&self) -> Vec<bool> {
+        let partner_sets = self.partner_sets();
         (0..self.n_pes)
             .map(|pe| {
-                let partners = self.partners(pe);
+                let partners = &partner_sets[pe];
                 let mut nbs = Vec::new();
                 if pe > 0 {
                     nbs.push(pe - 1);

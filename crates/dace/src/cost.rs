@@ -216,6 +216,17 @@ pub fn predict_cost(
 ) -> Result<CostReport, CostError> {
     lower::persistent_legality(sdfg).map_err(CostError::Illegal)?;
     lower::verify_gate(sdfg, n_pes, user).map_err(CostError::Illegal)?;
+    predict_gated(sdfg, n_pes, user, topology)
+}
+
+/// [`predict_cost`] past its gates: `sdfg` has passed the persistent
+/// legality check and verifies clean on `n_pes` PEs.
+fn predict_gated(
+    sdfg: &Sdfg,
+    n_pes: usize,
+    user: &Bindings,
+    topology: TopologyKind,
+) -> Result<CostReport, CostError> {
     let cost = CostModel::a100_hgx();
     let topo = Topology::build(topology, n_pes, &cost);
     // Steady-state composition: walk a warmup window, then extend the
@@ -244,10 +255,10 @@ pub fn verify_and_predict(
     topology: TopologyKind,
 ) -> (VerifyReport, Option<CostReport>) {
     let report = verify_sdfg(sdfg, n_pes, user);
-    if !report.clean() {
+    if !report.clean() || lower::persistent_legality(sdfg).is_err() {
         return (report, None);
     }
-    let predicted = predict_cost(sdfg, n_pes, user, topology).ok();
+    let predicted = predict_gated(sdfg, n_pes, user, topology).ok();
     (report, predicted)
 }
 
@@ -321,9 +332,25 @@ enum PredOp {
 struct ItemTable {
     labels: Vec<String>,
     index: BTreeMap<String, usize>,
+    /// The item of every op flattened so far, keyed by the op's address
+    /// in the (immutably borrowed) SDFG.
+    by_op: BTreeMap<usize, usize>,
 }
 
 impl ItemTable {
+    /// The item of `op`, whose label `label` builds. The label is built
+    /// and interned on the op's first execution only, so items keep their
+    /// first-execution order.
+    fn of_op<T>(&mut self, op: &T, label: impl FnOnce() -> String) -> usize {
+        let key = std::ptr::from_ref(op) as usize;
+        if let Some(&i) = self.by_op.get(&key) {
+            return i;
+        }
+        let i = self.get(label());
+        self.by_op.insert(key, i);
+        i
+    }
+
     fn get(&mut self, label: String) -> usize {
         if let Some(&i) = self.index.get(&label) {
             return i;
@@ -485,7 +512,7 @@ impl Flattener<'_> {
                         out.push(PredOp::GridSync);
                         comm_since_sync = false;
                     }
-                    let item = items.get(format!("map:{}", m.name));
+                    let item = items.of_op(m, || format!("map:{}", m.name));
                     out.push(PredOp::Busy {
                         dur: lower::map_cost(self.cost, m.volume(b), false),
                         item,
@@ -493,7 +520,7 @@ impl Flattener<'_> {
                 }
                 Op::Copy { dst, .. } => {
                     let rd = dst.resolve(&self.shapes[&dst.array], b);
-                    let item = items.get(format!("copy:{}", dst.array));
+                    let item = items.of_op(dst, || format!("copy:{}", dst.array));
                     out.push(PredOp::Busy {
                         dur: self.cost.local_copy((rd.count * 8) as u64),
                         item,
@@ -530,7 +557,7 @@ impl Flattener<'_> {
                 ..
             } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
-                let item = items.get(format!("put:{}->s{sig}", dst.array));
+                let item = items.of_op(lib, || format!("put:{}->s{sig}", dst.array));
                 out.push(PredOp::PutSignal {
                     dst: pex.eval(b) as usize,
                     bytes: (rd.count * 8) as u64,
@@ -548,7 +575,7 @@ impl Flattener<'_> {
                 ..
             } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
-                let item = items.get(format!("put_block:{}->s{sig}", dst.array));
+                let item = items.of_op(lib, || format!("put_block:{}->s{sig}", dst.array));
                 out.push(PredOp::PutSignal {
                     dst: pex.eval(b) as usize,
                     bytes: (rd.count * 8) as u64,
@@ -560,7 +587,7 @@ impl Flattener<'_> {
             }
             LibNode::PutMapped { dst, pe: pex, .. } => {
                 let rd = dst.resolve(&self.shapes[&dst.array], b);
-                let item = items.get(format!("put_mapped:{}", dst.array));
+                let item = items.of_op(lib, || format!("put_mapped:{}", dst.array));
                 out.push(PredOp::PutMapped {
                     dst: pex.eval(b) as usize,
                     count: rd.count as u64,
@@ -568,7 +595,7 @@ impl Flattener<'_> {
                 });
             }
             LibNode::SignalWait { sig, val } => {
-                let item = items.get(format!("wait:s{sig}"));
+                let item = items.of_op(lib, || format!("wait:s{sig}"));
                 out.push(PredOp::Wait {
                     sig: *sig,
                     val: val.eval(b) as u64,
@@ -580,7 +607,7 @@ impl Flattener<'_> {
                 if rd.count == 0 {
                     return;
                 }
-                let item = items.get(format!("iput:{}", dst.array));
+                let item = items.of_op(lib, || format!("iput:{}", dst.array));
                 out.push(PredOp::Iput {
                     dst: pex.eval(b) as usize,
                     elems: rd.count as u64,
@@ -588,14 +615,14 @@ impl Flattener<'_> {
                 });
             }
             LibNode::PutSingle { dst, pe: pex, .. } => {
-                let item = items.get(format!("p:{}", dst.array));
+                let item = items.of_op(lib, || format!("p:{}", dst.array));
                 out.push(PredOp::PutSingle {
                     dst: pex.eval(b) as usize,
                     item,
                 });
             }
             LibNode::SignalOp { sig, val, pe: pex } => {
-                let item = items.get(format!("signal:s{sig}"));
+                let item = items.of_op(lib, || format!("signal:s{sig}"));
                 out.push(PredOp::SignalSet {
                     dst: pex.eval(b) as usize,
                     sig: *sig,
@@ -604,7 +631,7 @@ impl Flattener<'_> {
                 });
             }
             LibNode::Quiet => {
-                let item = items.get("quiet".into());
+                let item = items.of_op(lib, || "quiet".into());
                 out.push(PredOp::Quiet { item });
             }
             LibNode::MpiIsend { .. } | LibNode::MpiIrecv { .. } | LibNode::MpiWaitall => {
@@ -1366,5 +1393,24 @@ mod tests {
         let (report, cost) = verify_and_predict(&sdfg, 2, &user, TopologyKind::NvlinkAllToAll);
         assert!(report.clean());
         assert!(cost.is_some());
+    }
+
+    /// `verify_and_predict` verifies once and predicts exactly what
+    /// `predict_cost` does, on every corpus program and preset.
+    #[test]
+    fn verify_and_predict_matches_predict_cost() {
+        for n in [2, 4, 8] {
+            for (sdfg, user) in [jacobi1d(8, 20, n), jacobi2d(8, 8, 3, n)] {
+                for kind in TopologyKind::presets() {
+                    let want = predict_cost(&sdfg, n, &user, kind).expect("predict");
+                    let (report, got) = verify_and_predict(&sdfg, n, &user, kind);
+                    assert!(report.clean(), "{report}");
+                    let got = got.expect("clean programs are predicted");
+                    assert_eq!(got.total, want.total, "{kind:?} @{n}");
+                    assert_eq!(got.kernels, want.kernels, "{kind:?} @{n}");
+                    assert_eq!(got.routes, want.routes, "{kind:?} @{n}");
+                }
+            }
+        }
     }
 }
