@@ -8,7 +8,12 @@
 
 use sim_des::lock::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of [`Buf::raw_key`]s: one process-wide counter, so a key is never
+/// reused, not even by an allocation that lands at a freed buffer's address.
+static NEXT_BUF_KEY: AtomicU64 = AtomicU64::new(0);
 
 /// Identifies a device within one machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,6 +52,8 @@ impl Place {
 }
 
 struct BufInner {
+    /// Allocation identity, drawn from [`NEXT_BUF_KEY`].
+    key: u64,
     place: Place,
     name: String,
     /// Element count (authoritative — `data` may be empty for virtual bufs).
@@ -85,6 +92,7 @@ impl Buf {
     pub fn new(place: Place, name: impl Into<String>, len: usize) -> Buf {
         Buf {
             inner: Arc::new(BufInner {
+                key: NEXT_BUF_KEY.fetch_add(1, Ordering::Relaxed),
                 place,
                 name: name.into(),
                 len,
@@ -98,6 +106,7 @@ impl Buf {
     pub fn new_virtual(place: Place, name: impl Into<String>, len: usize) -> Buf {
         Buf {
             inner: Arc::new(BufInner {
+                key: NEXT_BUF_KEY.fetch_add(1, Ordering::Relaxed),
                 place,
                 name: name.into(),
                 len,
@@ -276,11 +285,12 @@ impl Buf {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Allocation identity as an opaque key (stable for the buffer's
-    /// lifetime; equal iff [`Buf::same_alloc`]). Used by the checker to
-    /// key race-detection locations.
-    pub fn raw_key(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
+    /// Allocation identity as an opaque key (equal iff [`Buf::same_alloc`]).
+    /// Unlike the allocation's address, a key is never handed to a later
+    /// buffer once this one is freed. Used by the checker to key
+    /// race-detection locations.
+    pub fn raw_key(&self) -> u64 {
+        self.inner.key
     }
 }
 
@@ -294,6 +304,18 @@ mod tests {
         assert_eq!(b.len(), 16);
         assert_eq!(b.bytes(), 128);
         assert!(b.with(|d| d.iter().all(|&v| v == 0.0)));
+    }
+
+    #[test]
+    fn raw_key_is_not_reused_after_free() {
+        let a = Buf::new(Place::Device(DevId(0)), "a", 16);
+        let key = a.raw_key();
+        drop(a);
+        // Same size, allocated right after the drop: malloc hands back the
+        // freed block, so an address-based key would collide.
+        let b = Buf::new(Place::Device(DevId(0)), "a", 16);
+        assert_ne!(b.raw_key(), key);
+        assert_eq!(b.raw_key(), b.clone().raw_key());
     }
 
     #[test]
