@@ -980,7 +980,7 @@ pub struct DesCoreRow {
     pub events: u64,
     /// Host wall clock of the run (measured).
     pub wall: std::time::Duration,
-    /// Execution-token passes between OS threads (summed over engines and
+    /// Execution-token passes between stacks (summed over engines and
     /// shards; varies with the shard count, so not gated).
     pub handoffs: u64,
 }

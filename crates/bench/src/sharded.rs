@@ -57,7 +57,7 @@ impl RingRun {
 pub struct RingCounters {
     /// Cross-shard messages delivered (0 on the serial engine).
     pub cross_messages: u64,
-    /// Execution-token passes between OS threads, summed over shards.
+    /// Execution-token passes between stacks, summed over shards.
     pub handoffs: u64,
 }
 

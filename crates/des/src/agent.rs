@@ -3,7 +3,6 @@
 use crate::engine::SimError;
 use crate::engine::{block, spawn_agent, AbortSim, BlockedInfo, Request, Shared};
 use crate::intern::{Label, Sym};
-use crate::lock::Condvar;
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Category, TraceSpan};
@@ -39,12 +38,11 @@ pub struct WaitTimedOut {
 pub struct AgentCtx {
     shared: Arc<Shared>,
     id: AgentId,
-    cv: Arc<Condvar>,
 }
 
 impl AgentCtx {
-    pub(crate) fn new(shared: Arc<Shared>, id: AgentId, cv: Arc<Condvar>) -> Self {
-        AgentCtx { shared, id, cv }
+    pub(crate) fn new(shared: Arc<Shared>, id: AgentId) -> Self {
+        AgentCtx { shared, id }
     }
 
     /// This agent's id.
@@ -70,10 +68,10 @@ impl AgentCtx {
         self.shared.central.lock().clock
     }
 
-    /// Apply `req`, pass the token to the next agent due, and park until
+    /// Apply `req`, pass the token to the next agent due, and return once
     /// resumed.
     fn handoff(&mut self, req: Request) {
-        block(&self.shared, self.id, &self.cv, req);
+        block(&self.shared, self.id, req);
     }
 
     /// Charge `dur` of virtual time to this agent (blocking).
@@ -319,8 +317,8 @@ impl AgentCtx {
     ///
     /// Used to materialize asynchronous effects at their completion time —
     /// e.g. a DMA engine writing transferred bytes into the destination
-    /// buffer. The closure runs on whichever thread holds the token and is
-    /// running the event loop (an agent's, or the one in
+    /// buffer. The closure runs on whichever stack holds the token and is
+    /// running the event loop (an agent's, or the caller's of
     /// [`Engine::run`](crate::Engine::run)), and must not call back into the
     /// engine; pair it with [`AgentCtx::schedule_signal`] (the call is
     /// executed before a signal scheduled afterwards at equal time). A panic

@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn nested_simulations_run_concurrently_and_identically() {
-        // Whole DES runs as batch items: each spawns its own agent threads.
+        // Whole DES runs as batch items: each drives its own agents.
         let runs: Vec<u64> = (0..12).collect();
         let end_times = |jobs: usize| {
             par_map(jobs, runs.clone(), |seed| {

@@ -4,18 +4,39 @@
 //!
 //! Agents are imperative routines (host threads, persistent-kernel thread
 //! blocks, stream workers, …) written as ordinary Rust closures against
-//! [`AgentCtx`](crate::agent::AgentCtx). Each agent runs on its own OS thread,
-//! but **exactly one thread holds the execution token at a time**. There is
-//! no scheduler thread: when an agent blocks (`advance`, `wait_flag`,
-//! `barrier`), it applies its own request, runs the event loop itself under
-//! the engine lock until the loop pops the next `Resume`, and wakes only that
-//! agent (direct handoff). An agent that is its own successor keeps running
-//! with no thread switch. The thread that called [`Engine::run`] is one more
-//! token holder: it starts the loop and parks until some holder stops the
-//! run (every agent done, window limit, deadlock, panic or abort). The
-//! result is a sequential, fully deterministic simulation in which agent
-//! code can block with ordinary imperative control flow — no hand written
-//! state machines, no async.
+//! [`AgentCtx`](crate::agent::AgentCtx). Each agent is a stackful coroutine:
+//! it runs on a stack of its own (see `coro.rs`), on the thread that called
+//! [`Engine::run`], and **exactly one stack holds the execution token at a
+//! time**. There is no scheduler: when an agent blocks (`advance`,
+//! `wait_flag`, `barrier`), it applies its own request, runs the event loop
+//! itself under the engine lock until the loop pops the next `Resume`, and
+//! switches straight to that agent's stack (direct handoff) — a register
+//! swap, not a kernel context switch. An agent that is its own successor
+//! keeps running with no switch. The caller of [`Engine::run`] is one more
+//! token holder, on its own thread's stack: it starts the loop and is
+//! switched back to when some holder stops the run (every agent done,
+//! window limit, deadlock, panic or abort). The result is a sequential,
+//! fully deterministic simulation in which agent code can block with
+//! ordinary imperative control flow — no hand written state machines, no
+//! async.
+//!
+//! # Agent stacks
+//!
+//! Each agent gets a 2 MiB stack (Rust's default thread stack), mapped
+//! without reserving memory, so only the pages it touches become resident,
+//! above a `PROT_NONE` guard page: an overflow faults instead of running
+//! into other memory. A finished agent drops everything it owns before its
+//! last switch, and the next token holder unmaps its stack. Shutting an
+//! engine down switches to every suspended or never-started agent once, so
+//! that it unwinds and its destructors run. The switch is x86_64 System V
+//! assembly on Linux; other targets do not compile until `coro.rs` is
+//! ported.
+//!
+//! An engine's agents run only on the thread that drives it (`run`,
+//! `run_until`) or shuts it down (an error, or dropping the engine), which
+//! may differ from one call to the next. Agent code must therefore not
+//! keep per-thread state across a blocking call: no `thread_local!`, no
+//! thread ids. No crate of this workspace uses either.
 //!
 //! # Determinism
 //!
@@ -23,7 +44,7 @@
 //! sequence number increases monotonically with every enqueue. Two runs of
 //! the same program therefore execute agents in the identical order and
 //! produce identical virtual end times (and identical buffer contents in the
-//! layers above). Which thread happens to run the loop never enters the
+//! layers above). Which stack happens to run the loop never enters the
 //! order.
 //!
 //! # Hot path
@@ -36,10 +57,11 @@
 //! when a diagnostic or report is rendered.
 
 use crate::agent::{AgentCtx, AgentId};
+use crate::coro::{self, Context, Stack};
 use crate::fault::mix64;
 use crate::hb::{AsyncClock, HbTracker};
 use crate::intern::{Label, Sym, SymPool};
-use crate::lock::{Condvar, Mutex, MutexGuard};
+use crate::lock::{Mutex, MutexGuard};
 use crate::sync::{Barrier, Cmp, Flag, SignalOp};
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Trace, TraceSpan};
@@ -49,7 +71,6 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Errors surfaced by [`Engine::run`].
 #[derive(Debug, Clone)]
@@ -165,7 +186,7 @@ pub enum RunStatus {
     },
 }
 
-/// Why the event loop stopped: what the thread in [`Engine::run`] /
+/// Why the event loop stopped: what the caller of [`Engine::run`] /
 /// [`Engine::run_until`] reports once the token comes back to it.
 enum Outcome {
     /// The run is over or its window is exhausted.
@@ -173,7 +194,7 @@ enum Outcome {
     /// Deadlock, agent panic or structured abort.
     Error(SimError),
     /// A `schedule_call` closure (or the loop itself) panicked; the payload
-    /// is re-raised on the run's thread.
+    /// is re-raised by the caller of [`Engine::run`].
     Panic(Box<dyn Any + Send>),
 }
 
@@ -216,10 +237,10 @@ enum Action {
         stamp: Option<AsyncClock>,
     },
     /// Run a side-effect closure (e.g. materialize DMA data at completion
-    /// time). Executed by whichever thread holds the token and is running
+    /// time). Executed by whichever stack holds the token and is running
     /// the event loop, outside the engine lock; the closure must not call
-    /// back into the engine. A panic stops the run and is re-raised on the
-    /// thread in [`Engine::run`].
+    /// back into the engine. A panic stops the run and is re-raised by the
+    /// caller of [`Engine::run`].
     Call(Box<dyn FnOnce() + Send>),
     /// A deadline for a bounded wait. Stale once the agent's wait epoch has
     /// moved on (the wait completed first); stale fires are skipped WITHOUT
@@ -277,7 +298,8 @@ impl Ord for HeapKey {
 /// Who holds the execution token.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Turn {
-    /// The thread in [`Engine::run`] / [`Engine::run_until`].
+    /// The caller of [`Engine::run`] / [`Engine::run_until`], on its own
+    /// thread's stack.
     Driver,
     Agent(AgentId),
 }
@@ -294,8 +316,9 @@ struct BarrierState {
 
 struct AgentSlot {
     name: Sym,
-    cv: Arc<Condvar>,
-    handle: Option<JoinHandle<()>>,
+    /// The agent's stack: moved to `Central::reap` when it finishes, freed
+    /// when [`Engine::shutdown`] has unwound it.
+    stack: Option<Stack>,
     alive: bool,
     /// Logical identity (e.g. `"pe2"`) used as the node label in the
     /// wait-for graph. Set via [`AgentCtx::set_identity`].
@@ -314,17 +337,18 @@ struct AgentSlot {
 }
 
 pub(crate) struct Central {
-    turn: Turn,
+    /// The driver's context while an agent holds the token.
+    driver: Context,
     pub(crate) clock: SimTime,
     shutdown: bool,
     /// Events at or past this time end the current window (`run_until`).
     limit: Option<SimTime>,
     /// Set by the holder that stops the run; taken by the driver.
     stop: Option<Outcome>,
-    /// Join handles of finished agents, joined by the next thread to take
-    /// the token so thread stacks do not pile up.
-    reap: Vec<JoinHandle<()>>,
-    /// Token passes to a different thread.
+    /// Stacks of finished agents, freed by the next holder to take the
+    /// token (a stack cannot free itself while it runs).
+    reap: Vec<Stack>,
+    /// Token passes to a different stack.
     handoffs: u64,
     seq: u64,
     /// Ordering keys; payloads live in `slab`.
@@ -577,14 +601,25 @@ impl Central {
         }
     }
 
-    /// Mark a finished agent dead; its thread is joined by the next holder.
+    /// Mark a finished agent dead; its stack is freed by the next holder.
     fn retire(&mut self, agent: AgentId) {
         let slot = &mut self.agents[agent.0];
         slot.alive = false;
-        if let Some(h) = slot.handle.take() {
-            self.reap.push(h);
-        }
+        self.reap.extend(slot.stack.take());
         self.live_agents -= 1;
+    }
+
+    /// Where the token holder `turn` saves (or is resumed from) its
+    /// context.
+    fn context(&mut self, turn: Turn) -> *mut Context {
+        match turn {
+            Turn::Driver => &raw mut self.driver,
+            Turn::Agent(a) => self.agents[a.0]
+                .stack
+                .as_ref()
+                .expect("resumed an agent whose stack is gone")
+                .context(),
+        }
     }
 
     /// Declare an agent's identity, keeping the `by_identity` index current.
@@ -706,8 +741,6 @@ impl Central {
 
 pub(crate) struct Shared {
     pub(crate) central: Mutex<Central>,
-    /// Wakes the thread in [`Engine::run`] when the run stops.
-    driver_cv: Condvar,
     /// The engine-wide symbol pool. Deliberately *outside* the central lock
     /// so agents intern labels without serializing on the engine.
     pub(crate) pool: Arc<SymPool>,
@@ -750,7 +783,7 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 central: Mutex::new(Central {
-                    turn: Turn::Driver,
+                    driver: 0,
                     clock: SimTime::ZERO,
                     shutdown: false,
                     limit: None,
@@ -774,7 +807,6 @@ impl Engine {
                     jitter: None,
                     jitter_ctr: 0,
                 }),
-                driver_cv: Condvar::new(),
                 pool,
             }),
         }
@@ -823,8 +855,9 @@ impl Engine {
         self.shared.central.lock().events
     }
 
-    /// Execution-token passes to a different OS thread so far: one per
-    /// thread switch. An agent that is its own successor costs none.
+    /// Execution-token passes to a different stack so far, the driver's
+    /// counting as one: one per switch. An agent that is its own successor
+    /// costs none.
     pub fn handoffs(&self) -> u64 {
         self.shared.central.lock().handoffs
     }
@@ -846,8 +879,9 @@ impl Engine {
 
     /// Spawn an agent, runnable at the current virtual time.
     ///
-    /// Returns its id. The closure runs on a dedicated OS thread, but only
-    /// while it holds the (single) execution token.
+    /// Returns its id. The closure runs on a stack of its own, on the
+    /// thread that drives the engine, only while it holds the (single)
+    /// execution token.
     pub fn spawn<'a, F>(&self, name: impl Into<Label<'a>>, f: F) -> AgentId
     where
         F: FnOnce(&mut AgentCtx) + Send + 'static,
@@ -890,8 +924,8 @@ impl Engine {
     /// Drive the simulation until every agent has finished.
     ///
     /// Returns the final virtual time, or an error on deadlock / agent panic.
-    /// On error the engine is shut down: all parked agent threads are
-    /// unwound and joined, so the process does not leak threads.
+    /// On error the engine is shut down: every suspended agent is unwound,
+    /// so what it owns is dropped.
     pub fn run(&self) -> Result<SimTime, SimError> {
         match self.drive(None) {
             Ok(_) => Ok(self.now()),
@@ -916,7 +950,7 @@ impl Engine {
     /// [`RunStatus::Idle`] and leaves deadlock judgement to the caller.
     /// Errors (panics, aborts, timeouts) surface exactly as in `run`, but
     /// the engine is not shut down; the caller owns teardown across all
-    /// its engines (dropping the engine still joins every agent thread).
+    /// its engines (dropping the engine still unwinds every agent).
     pub fn run_until(&self, limit: SimTime) -> Result<RunStatus, SimError> {
         self.drive(Some(limit))
     }
@@ -954,20 +988,13 @@ impl Engine {
         self.shared.central.lock().blocked_details()
     }
 
-    /// Start the event loop on this thread, then park until a token holder
-    /// stops the run, and report why.
+    /// Start the event loop as the driver, and report why the run stopped
+    /// once the token comes back.
     fn drive(&self, limit: Option<SimTime>) -> Result<RunStatus, SimError> {
         let shared = &*self.shared;
         let mut g = shared.central.lock();
         g.limit = limit;
-        let g = pass_token(shared, g, Turn::Driver).unwrap_or_else(|| {
-            let mut g = shared.central.lock();
-            while g.turn != Turn::Driver {
-                shared.driver_cv.wait(&mut g);
-            }
-            g
-        });
-        let mut g = reap(shared, g);
+        let mut g = pass_token(shared, g, Turn::Driver);
         match g.stop.take().expect("the run stopped without an outcome") {
             Outcome::Status(status) => Ok(status),
             Outcome::Error(e) => Err(e),
@@ -978,25 +1005,28 @@ impl Engine {
         }
     }
 
-    /// Unwind and join every still-parked agent thread.
+    /// Unwind every suspended or never-started agent on its own stack, once,
+    /// so its destructors run, and free the stacks. Unwound agents stay
+    /// `alive`: the blocked-agent diagnostics still describe them.
     pub(crate) fn shutdown(&self) {
-        let mut g = self.shared.central.lock();
+        let shared = &*self.shared;
+        let mut g = shared.central.lock();
         g.shutdown = true;
-        let cvs: Vec<Arc<Condvar>> = g
-            .agents
-            .iter()
-            .filter(|a| a.alive)
-            .map(|a| Arc::clone(&a.cv))
-            .collect();
-        for cv in &cvs {
-            cv.notify_all();
+        let mut a = 0;
+        while a < g.agents.len() {
+            // Finished agents gave their stacks up; unwound ones freed theirs.
+            if g.agents[a].stack.is_some() {
+                let (from, to) = (g.context(Turn::Driver), g.context(Turn::Agent(AgentId(a))));
+                drop(g);
+                // SAFETY: the agent is suspended on its mapped stack, and
+                // switches back to the driver's context when it has unwound.
+                unsafe { coro::switch(from, to) };
+                g = shared.central.lock();
+                g.agents[a].stack = None;
+            }
+            a += 1;
         }
-        let mut handles = std::mem::take(&mut g.reap);
-        handles.extend(g.agents.iter_mut().filter_map(|a| a.handle.take()));
-        drop(g);
-        for h in handles {
-            let _ = h.join();
-        }
+        g.reap.clear();
     }
 }
 
@@ -1011,7 +1041,7 @@ pub(crate) struct ShutdownUnwind;
 
 type Guard<'a> = MutexGuard<'a, Central>;
 
-/// Pop events on the calling thread until one resumes an agent, and return
+/// Pop events on the calling stack until one resumes an agent, and return
 /// that agent's turn; or stop the run (the outcome goes into
 /// `Central::stop`) and return the driver's turn.
 fn next_turn<'a>(shared: &'a Shared, mut g: Guard<'a>) -> (Guard<'a>, Turn) {
@@ -1094,73 +1124,50 @@ fn next_turn<'a>(shared: &'a Shared, mut g: Guard<'a>) -> (Guard<'a>, Turn) {
 }
 
 /// Run the event loop as the token holder `me`, then give the token to the
-/// turn it selects. Returns the guard when that is `me` again; otherwise
-/// unlocks, then wakes that thread (waking it under the lock would let it
-/// preempt us only to block on the mutex), and returns `None`. A panic in
-/// the loop (a `schedule_call` closure) stops the run with the payload, so
-/// it reaches the driver whichever thread was running the loop.
-fn pass_token<'a>(shared: &'a Shared, g: Guard<'a>, me: Turn) -> Option<Guard<'a>> {
-    let (mut g, next) = match catch_unwind(AssertUnwindSafe(move || next_turn(shared, g))) {
-        Ok(step) => step,
-        Err(payload) => {
-            let mut g = shared.central.lock();
-            g.stop = Some(Outcome::Panic(payload));
-            (g, Turn::Driver)
-        }
-    };
-    g.turn = next;
+/// turn it selects, switching stacks unless that is `me` again. Returns
+/// with the guard once `me` holds the token again.
+fn pass_token<'a>(shared: &'a Shared, g: Guard<'a>, me: Turn) -> Guard<'a> {
+    let (mut g, next) = next_holder(shared, g);
     if next == me {
-        return Some(g);
-    }
-    g.handoffs += 1;
-    let agent_cv = match next {
-        Turn::Driver => None,
-        Turn::Agent(a) => Some(Arc::clone(&g.agents[a.0].cv)),
-    };
-    drop(g);
-    match agent_cv {
-        Some(cv) => cv.notify_one(),
-        None => shared.driver_cv.notify_one(),
-    }
-    None
-}
-
-/// Park agent `id` until it holds the token, then join any finished agent
-/// threads. `false` when the engine shuts down instead.
-fn await_turn(shared: &Shared, id: AgentId, cv: &Condvar) -> bool {
-    let mut g = shared.central.lock();
-    loop {
-        if g.shutdown {
-            return false;
-        }
-        if g.turn == Turn::Agent(id) {
-            reap(shared, g);
-            return true;
-        }
-        cv.wait(&mut g);
-    }
-}
-
-/// Join the threads of agents that finished since the token last moved.
-/// They are past their last engine access, so each join is immediate.
-fn reap<'a>(shared: &'a Shared, mut g: Guard<'a>) -> Guard<'a> {
-    if g.reap.is_empty() {
         return g;
     }
-    let handles = std::mem::take(&mut g.reap);
+    g.handoffs += 1;
+    let (from, to) = (g.context(me), g.context(next));
     drop(g);
-    for h in handles {
-        let _ = h.join();
-    }
-    shared.central.lock()
+    // SAFETY: `to` is the driver, suspended in a token pass, or an agent
+    // suspended in one or never started; either way its stack is mapped.
+    unsafe { coro::switch(from, to) };
+    reap(shared.central.lock())
+}
+
+/// [`next_turn`], with a panic in the loop (a `schedule_call` closure)
+/// turned into a stop that carries the payload, so it reaches the driver
+/// whichever stack was running the loop.
+fn next_holder<'a>(shared: &'a Shared, g: Guard<'a>) -> (Guard<'a>, Turn) {
+    catch_unwind(AssertUnwindSafe(move || next_turn(shared, g))).unwrap_or_else(|payload| {
+        let mut g = shared.central.lock();
+        g.stop = Some(Outcome::Panic(payload));
+        (g, Turn::Driver)
+    })
+}
+
+/// Free the stacks of agents that finished since the token last moved.
+fn reap(mut g: Guard<'_>) -> Guard<'_> {
+    g.reap.clear();
+    g
 }
 
 /// A blocking call: apply `request`, run the loop and pass the token on,
-/// then park until the token comes back.
-pub(crate) fn block(shared: &Shared, id: AgentId, cv: &Condvar, request: Request) {
+/// and return once the token comes back. Unwinds with [`ShutdownUnwind`]
+/// when the engine is shutting down instead.
+pub(crate) fn block(shared: &Shared, id: AgentId, request: Request) {
     let mut g = shared.central.lock();
-    g.apply_request(id, request);
-    if pass_token(shared, g, Turn::Agent(id)).is_none() && !await_turn(shared, id, cv) {
+    if !g.shutdown {
+        g.apply_request(id, request);
+        g = pass_token(shared, g, Turn::Agent(id));
+    }
+    if g.shutdown {
+        drop(g);
         resume_unwind(Box::new(ShutdownUnwind));
     }
 }
@@ -1174,70 +1181,67 @@ pub(crate) fn spawn_agent<F>(
 where
     F: FnOnce(&mut AgentCtx) + Send + 'static,
 {
-    let cv = Arc::new(Condvar::new());
-    let id;
-    {
-        let mut g = shared.central.lock();
-        id = AgentId(g.agents.len());
-        if let Some(hb) = &g.hb {
-            hb.on_spawn(parent, id, g.clock);
-        }
-        g.agents.push(AgentSlot {
-            name,
-            cv: Arc::clone(&cv),
-            handle: None,
-            alive: true,
-            identity: None,
-            waiting_for: None,
-            wait_target: None,
-            wait_epoch: 0,
-            timed_out: false,
-        });
-        g.live_agents += 1;
-        let t = g.clock;
-        g.push(t, Action::Resume(id));
+    let mut g = shared.central.lock();
+    let id = AgentId(g.agents.len());
+    if let Some(hb) = &g.hb {
+        hb.on_spawn(parent, id, g.clock);
     }
-    let thread_shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-agent-{}", id.0))
-        .spawn(move || {
-            let shared = &*thread_shared;
-            // Park until the token reaches us for the first time.
-            if !await_turn(shared, id, &cv) {
-                return;
-            }
-            let mut ctx = AgentCtx::new(Arc::clone(&thread_shared), id, Arc::clone(&cv));
-            let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            let err = match result {
-                Ok(()) => None,
-                Err(payload) => match payload.downcast::<AbortSim>() {
-                    Ok(abort) => Some(abort.0),
-                    Err(payload) => {
-                        if payload.downcast_ref::<ShutdownUnwind>().is_some() {
-                            // Engine-initiated unwind: exit silently, the
-                            // engine is already tearing down and holds no
-                            // expectations.
-                            return;
-                        }
-                        Some(SimError::AgentPanic {
-                            agent: shared.central.lock().agent_name(id).to_string(),
-                            message: render_panic(&*payload),
-                        })
-                    }
-                },
-            };
-            // Retire, then pass the token on (an error stops the run) and
-            // exit; the next holder joins this thread.
-            let mut g = shared.central.lock();
+    let agent_shared = Arc::clone(shared);
+    // SAFETY: `run_agent` returns the driver's context or the next token
+    // holder's, suspended on a mapped stack (see `pass_token`).
+    let stack = unsafe { Stack::new(move || run_agent(agent_shared, id, f)) };
+    g.agents.push(AgentSlot {
+        name,
+        stack: Some(stack),
+        alive: true,
+        identity: None,
+        waiting_for: None,
+        wait_target: None,
+        wait_epoch: 0,
+        timed_out: false,
+    });
+    g.live_agents += 1;
+    let t = g.clock;
+    g.push(t, Action::Resume(id));
+    id
+}
+
+/// An agent's whole life on its own stack: run its closure (unless the
+/// engine shut down before it started), retire it and select the next
+/// holder. Returns the context to switch to for the last time; the
+/// closure, the context and this reference to the engine are dropped by
+/// then, since a finished stack is never unwound.
+fn run_agent<F>(shared: Arc<Shared>, id: AgentId, f: F) -> *mut Context
+where
+    F: FnOnce(&mut AgentCtx) + Send + 'static,
+{
+    if !reap(shared.central.lock()).shutdown {
+        let mut ctx = AgentCtx::new(Arc::clone(&shared), id);
+        let err = match catch_unwind(AssertUnwindSafe(move || f(&mut ctx))) {
+            Ok(()) => None,
+            Err(payload) => match payload.downcast::<AbortSim>() {
+                Ok(abort) => Some(abort.0),
+                Err(payload) => Some(SimError::AgentPanic {
+                    agent: shared.central.lock().agent_name(id).to_string(),
+                    message: render_panic(&*payload),
+                }),
+            },
+        };
+        let mut g = shared.central.lock();
+        if !g.shutdown {
             g.retire(id);
             if let Some(e) = err {
                 g.stop = Some(Outcome::Error(e));
             }
-            drop(pass_token(shared, g, Turn::Agent(id)));
-        })
-        .expect("failed to spawn agent thread");
-    shared.central.lock().agents[id.0].handle = Some(handle);
-    id
+            let (mut g, next) = next_holder(&shared, g);
+            g.handoffs += 1;
+            return g.context(next);
+        }
+    }
+    // Never started, or unwound by `Engine::shutdown` (or finished during
+    // it): back to the shutdown's caller, still `alive` for the
+    // diagnostics.
+    shared.central.lock().context(Turn::Driver)
 }
 
 fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {

@@ -4,8 +4,9 @@
 //!
 //! * a **virtual clock** with nanosecond resolution ([`SimTime`], [`SimDur`]);
 //! * **agents** — imperative simulated routines written as plain closures,
-//!   each on its own OS thread but scheduled strictly one-at-a-time for full
-//!   determinism ([`Engine::spawn`], [`AgentCtx`]);
+//!   each a stackful coroutine on the thread that drives the engine,
+//!   scheduled strictly one-at-a-time for full determinism
+//!   ([`Engine::spawn`], [`AgentCtx`]);
 //! * **flags** (64-bit signal cells with comparison waits, mirroring the
 //!   NVSHMEM signaling API) and reusable **barriers** (mirroring CUDA
 //!   cooperative-groups `grid.sync()`);
@@ -25,6 +26,7 @@
 mod agent;
 pub mod batch;
 pub mod chaos;
+mod coro;
 mod engine;
 pub mod fault;
 pub mod hb;

@@ -289,7 +289,7 @@ impl ShardedEngine {
         self.shards.iter().map(|e| e.events_processed()).sum()
     }
 
-    /// Execution-token passes between OS threads, summed over shards (see
+    /// Execution-token passes between stacks, summed over shards (see
     /// [`Engine::handoffs`]).
     pub fn handoffs(&self) -> u64 {
         self.shards.iter().map(|e| e.handoffs()).sum()
@@ -304,8 +304,8 @@ impl ShardedEngine {
     /// Drive all shards to completion, one host worker thread per shard.
     ///
     /// Returns the final virtual time (the maximum over shards), or the
-    /// first error by shard index. On error every shard is shut down so no
-    /// agent thread leaks. A global deadlock (no events anywhere, no
+    /// first error by shard index. On error every shard is shut down, so
+    /// every suspended agent unwinds. A global deadlock (no events anywhere, no
     /// messages in flight, live agents remain) is reported with the
     /// blocked agents of *all* shards, sorted by agent name so the report
     /// is identical at every shard count.
@@ -702,7 +702,7 @@ mod tests {
     }
 
     /// An agent panic in any shard surfaces as the run error and every
-    /// other shard is torn down (no leaked threads, no hang).
+    /// other shard is torn down (no leaked agents, no hang).
     #[test]
     fn agent_panic_tears_down_all_shards() {
         let mut eng = ShardedEngine::new(2, us(1.0));

@@ -116,9 +116,8 @@ impl Trace {
     /// The span list is allocated here, on the thread that creates the
     /// engine, not by the first agent to record a span. With glibc, a
     /// buffer grows inside the malloc arena of the thread that first
-    /// allocated it, so every run's multi-megabyte trace stays in one arena
-    /// instead of landing in a different agent thread's arena each run and
-    /// ratcheting peak memory up run after run.
+    /// allocated it, so a run's multi-megabyte trace stays in the creating
+    /// thread's arena even when another thread drives the run.
     pub fn with_pool(pool: Arc<SymPool>) -> Self {
         Trace {
             spans: Vec::with_capacity(64),
