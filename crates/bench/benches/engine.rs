@@ -3,8 +3,6 @@
 //! These bound how large a figure sweep is practical.
 
 use cpufree_bench::harness::Harness;
-use cpufree_bench::sharded::{ring_allreduce, sharded_barrier};
-use gpu_sim::TopologyKind;
 use sim_des::{ns, Category, Cmp, Engine, SignalOp};
 
 fn main() {
@@ -96,22 +94,6 @@ fn main() {
                 });
                 engine.run().unwrap()
             })
-        });
-    }
-
-    // The intra-run engine: one simulation partitioned across shard worker
-    // threads under the conservative safe-horizon protocol. Virtual
-    // results are bit-identical at every shard count (asserted inside the
-    // workloads); only the wall clock may move.
-    let shard_counts = [1usize, 2, 4];
-    for &shards in &shard_counts {
-        h.bench(&format!("engine/sharded_ring@shards{shards}"), || {
-            ring_allreduce(TopologyKind::NvlinkRing, 16, 3, shards)
-        });
-    }
-    for &shards in &shard_counts {
-        h.bench(&format!("engine/sharded_barrier@shards{shards}"), || {
-            sharded_barrier(32, 4, 25, shards)
         });
     }
 }

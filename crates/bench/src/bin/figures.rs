@@ -565,22 +565,15 @@ fn des_core_deterministic_json(rows: &[DesCoreRow]) -> String {
     format!("  \"deterministic\": [\n{}\n  ]", items.join(",\n"))
 }
 
-/// `figures des_core [--check] [--shards N]`: run the DES-core
-/// micro-benchmarks, including the serial-vs-sharded 64-agent ring
-/// allreduce at `N` intra-run shards. Without `--check`, writes
-/// `BENCH_des_core.json` (deterministic block + measured events/sec and
-/// handoff snapshot, labelled with the host). With `--check`, regenerates
-/// the deterministic block and requires the committed file to contain it
-/// byte for byte — the
-/// wall-clock half is never diffed. The deterministic block is identical
-/// at every `--shards` (asserted inside [`des_core_rows_with`]), so the
-/// gate holds no matter which shard count CI picks.
-fn des_core(check: bool, shards: usize) -> i32 {
-    // Shard count on stderr: the deterministic stdout table must not vary
-    // with `--shards` in its gated columns.
-    eprintln!("[des_core sharded workloads on {shards} shards]");
+/// `figures des_core [--check]`: run the DES-core micro-benchmarks.
+/// Without `--check`, writes `BENCH_des_core.json` (deterministic block +
+/// measured events/sec and handoff snapshot, labelled with the host). With
+/// `--check`, regenerates the deterministic block and requires the
+/// committed file to contain it byte for byte — the wall-clock half is
+/// never diffed.
+fn des_core(check: bool) -> i32 {
     println!("== DES core — engine hot-path throughput ==");
-    let rows = des_core_rows_with(shards);
+    let rows = des_core_rows();
     println!(
         "{:<28} {:>14} {:>10} {:>12} {:>14} {:>10}",
         "workload", "virtual end", "events", "wall", "events/sec", "handoffs"
@@ -886,6 +879,24 @@ fn parse_flag(args: &mut Vec<String>, name: &str, default: u64, reject_zero: boo
     }
 }
 
+/// Exit 2 naming every argument besides `section` and `--check`. Strict
+/// parsing, like `--jobs`/`--seeds`: a leftover or mistyped option must
+/// fail loudly, not silently run the default gate.
+fn reject_stray(args: &[String], section: &str, usage: &str) {
+    let stray: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != section && *a != "--check")
+        .collect();
+    if !stray.is_empty() {
+        eprintln!(
+            "unrecognized argument(s) for {section}: {}\nusage: {usage}",
+            stray.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--json") {
@@ -922,34 +933,17 @@ fn main() {
         std::process::exit(chaos(seeds, jobs));
     }
     if args.iter().any(|a| a == "des_core") {
+        reject_stray(&args, "des_core", "figures des_core [--check]");
         let check = args.iter().any(|a| a == "--check");
-        let shards = parse_flag(&mut args, "shards", 4, true) as usize;
-        std::process::exit(des_core(check, shards));
+        std::process::exit(des_core(check));
     }
     if args.iter().any(|a| a == "traffic") {
         let check = args.iter().any(|a| a == "--check");
         std::process::exit(traffic(check, jobs));
     }
     if args.iter().any(|a| a == "cost") {
-        // Strict parsing, like `--jobs`/`--seeds`: anything beyond
-        // `cost [--check]` is a mistake and must fail loudly (exit 2),
-        // not silently run a full default sweep.
+        reject_stray(&args, "cost", "figures cost [--check] [--jobs N]");
         let check = args.iter().any(|a| a == "--check");
-        let stray: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "cost" && *a != "--check")
-            .collect();
-        if !stray.is_empty() {
-            eprintln!(
-                "unrecognized argument(s) for cost: {}\nusage: figures cost [--check] [--jobs N]",
-                stray
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            std::process::exit(2);
-        }
         std::process::exit(cost(check, jobs));
     }
     // `--json --check` gates the aggregate, which covers every figure, so

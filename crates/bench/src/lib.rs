@@ -20,7 +20,6 @@
 
 pub mod chaos;
 pub mod cost;
-pub mod sharded;
 pub mod traffic;
 
 use dace_sim::lower::{run_discrete, run_persistent};
@@ -980,8 +979,8 @@ pub struct DesCoreRow {
     pub events: u64,
     /// Host wall clock of the run (measured).
     pub wall: std::time::Duration,
-    /// Execution-token passes between stacks (summed over engines and
-    /// shards; varies with the shard count, so not gated).
+    /// Execution-token passes between stacks, summed over engines
+    /// (measured).
     pub handoffs: u64,
 }
 
@@ -992,24 +991,12 @@ impl DesCoreRow {
     }
 }
 
-/// [`des_core_rows_with`] at the default intra-run shard count (4).
-pub fn des_core_rows() -> Vec<DesCoreRow> {
-    des_core_rows_with(4)
-}
-
 /// The DES hot-path workloads behind the committed events/sec trajectory:
 /// a two-agent signal ping-pong (pure handoff cost), a trace-heavy busy
 /// loop (the interned-label span path), an 8-agent barrier storm, a batch
 /// of whole simulations on the [`sim_des::par_map`] pool, and a 64-agent
-/// topology-partitioned ring allreduce run both serially and on a
-/// [`sim_des::ShardedEngine`] with `shards` partitions.
-///
-/// The two ring rows are asserted bit-identical in `end_ns`/`events` at
-/// every shard count before returning (the `@sharded` row's deterministic
-/// block entry is therefore independent of `shards` — only its measured
-/// wall clock varies), so the committed deterministic block diffs clean no
-/// matter which `--shards` CI runs with.
-pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
+/// ring allreduce on an NVLink ring.
+pub fn des_core_rows() -> Vec<DesCoreRow> {
     use sim_des::{ns, Category, Cmp, Engine, SignalOp};
     use std::time::Instant;
 
@@ -1030,7 +1017,7 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
         (end.as_nanos(), engine.events_processed(), engine.handoffs())
     }
 
-    let rows = vec![
+    vec![
         timed("pingpong_2x2000", || {
             let engine = Engine::new();
             engine.set_trace_enabled(false);
@@ -1106,28 +1093,77 @@ pub fn des_core_rows_with(shards: usize) -> Vec<DesCoreRow> {
             (end, events, handoffs)
         }),
         timed("ring_allreduce_64x63@serial", || {
-            let (run, c) =
-                sharded::ring_allreduce_plain_counted(gpu_sim::TopologyKind::NvlinkRing, 64, 1);
-            (run.end_ns, run.events, c.handoffs)
+            ring_allreduce(gpu_sim::TopologyKind::NvlinkRing, 64, 1)
         }),
-        timed("ring_allreduce_64x63@sharded", move || {
-            let (run, c) =
-                sharded::ring_allreduce_counted(gpu_sim::TopologyKind::NvlinkRing, 64, 1, shards);
-            (run.end_ns, run.events, c.handoffs)
-        }),
-    ];
-    // The sharded ring must be indistinguishable from the serial oracle in
-    // every deterministic quantity — the whole point of the conservative
-    // engine. Checked here so `figures -- des_core` can never publish a
-    // diverged pair.
-    let serial = &rows[rows.len() - 2];
-    let sharded_row = &rows[rows.len() - 1];
-    assert_eq!(
-        (serial.end_ns, serial.events),
-        (sharded_row.end_ns, sharded_row.events),
-        "sharded ring diverged from serial at shards={shards}"
-    );
-    rows
+    ]
+}
+
+/// `agents` agents, one per device of `kind`, run the `agents - 1`-round ring
+/// allreduce with flow control: each round waits for the successor's ack,
+/// computes for a seeded jitter, sends its carry to the successor and acks
+/// the predecessor. Every message delay is the software signal overhead
+/// plus the forwarding latency of the route it crosses.
+///
+/// Returns `(end_ns, events, handoffs)`. Panics if any agent's reduced
+/// total differs from the sum of the seeded inputs.
+fn ring_allreduce(kind: gpu_sim::TopologyKind, agents: usize, seed: u64) -> (u64, u64, u64) {
+    use gpu_sim::{CostModel, Topology};
+    use sim_des::{mix64, ns, Cmp, Engine, SignalOp};
+
+    let input =
+        move |i: usize| mix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 1_000_003;
+    // Per-round compute jitter of agent `i` in round `r`: deterministic in
+    // `(seed, i, r)`, so perturbation comes from data, not the host.
+    let jitter = move |i: usize, r: u64| ns(200 + mix64(seed ^ ((i as u64) << 32) ^ r) % 800);
+
+    assert!(agents >= 2, "ring needs at least two agents");
+    let cost = CostModel::a100_hgx();
+    let topo = Topology::build(kind, agents, &cost);
+    let delay = |src: usize, dst: usize| cost.shmem_signal() + topo.route_forward_latency(src, dst);
+
+    let eng = Engine::new();
+    eng.set_trace_enabled(false);
+    let mut data = Vec::with_capacity(agents);
+    let mut seq = Vec::with_capacity(agents);
+    let mut ack = Vec::with_capacity(agents);
+    let mut result = Vec::with_capacity(agents);
+    for _ in 0..agents {
+        data.push(eng.flag(0));
+        seq.push(eng.flag(0));
+        ack.push(eng.flag(0));
+        result.push(eng.flag(0));
+    }
+    for i in 0..agents {
+        let succ = (i + 1) % agents;
+        let pred = (i + agents - 1) % agents;
+        let (d_succ, d_pred) = (delay(i, succ), delay(i, pred));
+        let (my_data, my_seq, my_ack, my_result) = (data[i], seq[i], ack[i], result[i]);
+        let (succ_data, succ_seq) = (data[succ], seq[succ]);
+        let pred_ack = ack[pred];
+        eng.spawn(format!("pe{i}"), move |ctx| {
+            let mut carry = input(i);
+            let mut sum = carry;
+            let rounds = (agents - 1) as u64;
+            for r in 1..=rounds {
+                ctx.wait_flag(my_ack, Cmp::Ge, r - 1);
+                ctx.advance(jitter(i, r));
+                ctx.schedule_signal(succ_data, SignalOp::Set, carry, d_succ);
+                ctx.schedule_signal(succ_seq, SignalOp::Add, 1, d_succ);
+                ctx.wait_flag(my_seq, Cmp::Ge, r);
+                let got = ctx.flag_value(my_data);
+                sum = sum.wrapping_add(got);
+                carry = got;
+                ctx.schedule_signal(pred_ack, SignalOp::Add, 1, d_pred);
+            }
+            ctx.signal(my_result, SignalOp::Set, sum);
+        });
+    }
+    let end = eng.run().expect("ring allreduce");
+    let expected = (0..agents).fold(0u64, |acc, i| acc.wrapping_add(input(i)));
+    for (i, &r) in result.iter().enumerate() {
+        assert_eq!(eng.flag_value(r), expected, "agent {i} diverged");
+    }
+    (end.as_nanos(), eng.events_processed(), eng.handoffs())
 }
 
 /// Minimal wall-clock micro-bench harness (std-only; the workspace builds

@@ -15,10 +15,9 @@
 //! keeps running with no switch. The caller of [`Engine::run`] is one more
 //! token holder, on its own thread's stack: it starts the loop and is
 //! switched back to when some holder stops the run (every agent done,
-//! window limit, deadlock, panic or abort). The result is a sequential,
-//! fully deterministic simulation in which agent code can block with
-//! ordinary imperative control flow — no hand written state machines, no
-//! async.
+//! deadlock, panic or abort). The result is a sequential, fully
+//! deterministic simulation in which agent code can block with ordinary
+//! imperative control flow — no hand written state machines, no async.
 //!
 //! # Agent stacks
 //!
@@ -32,11 +31,11 @@
 //! assembly on Linux; other targets do not compile until `coro.rs` is
 //! ported.
 //!
-//! An engine's agents run only on the thread that drives it (`run`,
-//! `run_until`) or shuts it down (an error, or dropping the engine), which
-//! may differ from one call to the next. Agent code must therefore not
-//! keep per-thread state across a blocking call: no `thread_local!`, no
-//! thread ids. No crate of this workspace uses either.
+//! An engine's agents run only on the thread that drives it (`run`) or
+//! shuts it down (an error, or dropping the engine), which may differ from
+//! one call to the next. Agent code must therefore not keep per-thread
+//! state across a blocking call: no `thread_local!`, no thread ids. No
+//! crate of this workspace uses either.
 //!
 //! # Determinism
 //!
@@ -168,29 +167,11 @@ pub struct BlockedInfo {
     pub waiting_for: Option<String>,
 }
 
-/// Outcome of a bounded [`Engine::run_until`] window.
-///
-/// Bounded runs never report deadlock: an empty queue with live agents is
-/// indistinguishable from "waiting for a message an external coordinator
-/// has not injected yet". The coordinator (see [`crate::shard`]) owns that
-/// judgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStatus {
-    /// Every agent finished and no event remains: the simulation is over.
-    Done,
-    /// No event strictly earlier than the limit remains.
-    Idle {
-        /// Earliest pending event at or past the limit; `None` when the
-        /// queue is empty (any live agents are parked on flags/barriers).
-        next: Option<SimTime>,
-    },
-}
-
-/// Why the event loop stopped: what the caller of [`Engine::run`] /
-/// [`Engine::run_until`] reports once the token comes back to it.
+/// Why the event loop stopped: what the caller of [`Engine::run`] reports
+/// once the token comes back to it.
 enum Outcome {
-    /// The run is over or its window is exhausted.
-    Status(RunStatus),
+    /// Every agent finished and no event remains.
+    Done,
     /// Deadlock, agent panic or structured abort.
     Error(SimError),
     /// A `schedule_call` closure (or the loop itself) panicked; the payload
@@ -298,8 +279,7 @@ impl Ord for HeapKey {
 /// Who holds the execution token.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Turn {
-    /// The caller of [`Engine::run`] / [`Engine::run_until`], on its own
-    /// thread's stack.
+    /// The caller of [`Engine::run`], on its own thread's stack.
     Driver,
     Agent(AgentId),
 }
@@ -341,8 +321,9 @@ pub(crate) struct Central {
     driver: Context,
     pub(crate) clock: SimTime,
     shutdown: bool,
-    /// Events at or past this time end the current window (`run_until`).
-    limit: Option<SimTime>,
+    /// The error that ended the first failed run; every later
+    /// [`Engine::run`] returns it again.
+    failed: Option<SimError>,
     /// Set by the holder that stops the run; taken by the driver.
     stop: Option<Outcome>,
     /// Stacks of finished agents, freed by the next holder to take the
@@ -415,15 +396,9 @@ impl Central {
         Some((key.time, action))
     }
 
-    /// Time of the earliest pending event, if any.
-    fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|k| k.time)
-    }
-
     /// `name: blocked-on` diagnostics for every live agent — the payload of
-    /// a deadlock report. Shared between the unbounded drive loop and the
-    /// sharded coordinator's global-deadlock aggregation.
-    pub(crate) fn blocked_strings(&self) -> Vec<String> {
+    /// a deadlock report.
+    fn blocked_strings(&self) -> Vec<String> {
         self.agents
             .iter()
             .filter(|a| a.alive)
@@ -431,17 +406,6 @@ impl Central {
                 Some(w) => format!("{}: {}", self.pool.resolve(a.name), w),
                 None => format!("{}: (unknown wait)", self.pool.resolve(a.name)),
             })
-            .collect()
-    }
-
-    /// Structured form of [`Central::blocked_strings`]: agent name plus the
-    /// raw wait target, so the sharded coordinator can render flag/barrier
-    /// ids in a partition-independent (global) numbering.
-    pub(crate) fn blocked_details(&self) -> Vec<(String, Option<BlockedOn>)> {
-        self.agents
-            .iter()
-            .filter(|a| a.alive)
-            .map(|a| (self.pool.resolve(a.name).to_string(), a.wait_target))
             .collect()
     }
 
@@ -786,7 +750,7 @@ impl Engine {
                     driver: 0,
                     clock: SimTime::ZERO,
                     shutdown: false,
-                    limit: None,
+                    failed: None,
                     stop: None,
                     reap: Vec::new(),
                     handoffs: 0,
@@ -925,56 +889,20 @@ impl Engine {
     ///
     /// Returns the final virtual time, or an error on deadlock / agent panic.
     /// On error the engine is shut down: every suspended agent is unwound,
-    /// so what it owns is dropped.
+    /// so what it owns is dropped. A failed engine does not run again:
+    /// every later call returns the same error.
     pub fn run(&self) -> Result<SimTime, SimError> {
-        match self.drive(None) {
-            Ok(_) => Ok(self.now()),
+        if let Some(e) = &self.shared.central.lock().failed {
+            return Err(e.clone());
+        }
+        match self.drive() {
+            Ok(()) => Ok(self.now()),
             Err(e) => {
+                self.shared.central.lock().failed = Some(e.clone());
                 self.shutdown();
                 Err(e)
             }
         }
-    }
-
-    /// Process events strictly earlier than `limit`, then stop.
-    ///
-    /// This is the shard-side half of conservative parallel execution: a
-    /// coordinator that can prove no cross-engine message will arrive
-    /// before `limit` (the safe horizon) may run each engine's window
-    /// concurrently, then exchange messages via
-    /// [`Engine::inject_signal_at`] and advance the horizon.
-    ///
-    /// Unlike [`Engine::run`], an empty queue with live agents is *not* a
-    /// deadlock here — the agents may be waiting on a message the
-    /// coordinator has not injected yet — so the engine reports
-    /// [`RunStatus::Idle`] and leaves deadlock judgement to the caller.
-    /// Errors (panics, aborts, timeouts) surface exactly as in `run`, but
-    /// the engine is not shut down; the caller owns teardown across all
-    /// its engines (dropping the engine still unwinds every agent).
-    pub fn run_until(&self, limit: SimTime) -> Result<RunStatus, SimError> {
-        self.drive(Some(limit))
-    }
-
-    /// Schedule a signal application at absolute virtual time `at` from
-    /// *outside* the engine — the delivery half of a cross-engine message.
-    ///
-    /// Panics if `at` is earlier than the engine clock: a conservative
-    /// coordinator must never deliver into a shard's past (the lookahead
-    /// contract guarantees `at >= horizon >= clock`).
-    pub fn inject_signal_at(&self, at: SimTime, flag: Flag, op: SignalOp, value: u64) {
-        let mut g = self.shared.central.lock();
-        assert!(
-            at >= g.clock,
-            "message injected at {at} is before the engine clock {} — lookahead violated",
-            g.clock
-        );
-        g.push_signal(at, flag, op, value, None);
-    }
-
-    /// Time of the earliest pending event, if any (for external
-    /// coordinators computing safe horizons).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shared.central.lock().peek_time()
     }
 
     /// Number of agents that have not finished yet.
@@ -982,21 +910,13 @@ impl Engine {
         self.shared.central.lock().live_agents
     }
 
-    /// Structured blocked-agent info (name, wait target) for the sharded
-    /// coordinator's canonical deadlock rendering.
-    pub(crate) fn blocked_details(&self) -> Vec<(String, Option<BlockedOn>)> {
-        self.shared.central.lock().blocked_details()
-    }
-
     /// Start the event loop as the driver, and report why the run stopped
     /// once the token comes back.
-    fn drive(&self, limit: Option<SimTime>) -> Result<RunStatus, SimError> {
+    fn drive(&self) -> Result<(), SimError> {
         let shared = &*self.shared;
-        let mut g = shared.central.lock();
-        g.limit = limit;
-        let mut g = pass_token(shared, g, Turn::Driver);
+        let mut g = pass_token(shared, shared.central.lock(), Turn::Driver);
         match g.stop.take().expect("the run stopped without an outcome") {
-            Outcome::Status(status) => Ok(status),
+            Outcome::Done => Ok(()),
             Outcome::Error(e) => Err(e),
             Outcome::Panic(payload) => {
                 drop(g);
@@ -1050,17 +970,9 @@ fn next_turn<'a>(shared: &'a Shared, mut g: Guard<'a>) -> (Guard<'a>, Turn) {
         return (g, Turn::Driver);
     }
     loop {
-        let next = g.peek_time();
-        let runnable = match (next, g.limit) {
-            (Some(t), Some(l)) => t < l,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if !runnable {
-            let outcome = if next.is_none() && g.live_agents == 0 {
-                Outcome::Status(RunStatus::Done)
-            } else if g.limit.is_some() {
-                Outcome::Status(RunStatus::Idle { next })
+        let Some((time, action)) = g.pop_event() else {
+            let outcome = if g.live_agents == 0 {
+                Outcome::Done
             } else {
                 Outcome::Error(SimError::Deadlock {
                     time: g.clock,
@@ -1070,8 +982,7 @@ fn next_turn<'a>(shared: &'a Shared, mut g: Guard<'a>) -> (Guard<'a>, Turn) {
             };
             g.stop = Some(outcome);
             return (g, Turn::Driver);
-        }
-        let (time, action) = g.pop_event().expect("peeked event vanished");
+        };
         if let Action::TimeoutFire { agent, epoch } = action {
             let live = {
                 let slot = &g.agents[agent.0];

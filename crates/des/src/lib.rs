@@ -33,7 +33,6 @@ pub mod hb;
 pub mod intern;
 pub mod lock;
 mod resource;
-pub mod shard;
 mod sync;
 mod time;
 pub mod trace;
@@ -43,12 +42,11 @@ pub use batch::{default_jobs, env_jobs, par_map};
 pub use chaos::{
     classify_error, plan_from_json, plan_to_json, shrink, string_field, ChaosOutcome, FaultAtom,
 };
-pub use engine::{BlockedInfo, Engine, RunStatus, SimError};
+pub use engine::{BlockedInfo, Engine, SimError};
 pub use fault::{mix64, CrashFault, DropFault, FaultPlan, FaultState, LinkFault, StragglerFault};
 pub use hb::{AsyncClock, DiagKind, Diagnostic, HbEvent, HbEventKind, HbTracker, VClock};
 pub use intern::{Label, Sym, SymPool};
 pub use resource::{Reservation, Resource, ResourceStats};
-pub use shard::{RemoteFlag, ShardedEngine, XPort};
 pub use sync::{Barrier, Cmp, Flag, SignalOp};
 pub use time::{ms, ns, us, SimDur, SimTime};
 pub use trace::{Category, Trace, TraceSpan};

@@ -3,12 +3,12 @@
 //! lifecycle of agents and their stacks.
 //!
 //! A blocking agent runs the loop itself and switches to its successor, so
-//! the same stop can be reached on the run's own stack, on a blocked
-//! agent's stack or on a finishing agent's stack. Each test pins the
-//! outcome the caller of `Engine::run` sees, and that the run ends rather
-//! than hangs.
+//! the same stop can be reached on a blocked agent's stack or on a
+//! finishing agent's stack; the run's own stack only pops the first
+//! `Resume`. Each test pins the outcome the caller of `Engine::run` sees,
+//! and that the run ends rather than hangs.
 
-use sim_des::{us, Cmp, Engine, RunStatus, SignalOp, SimError, SimTime};
+use sim_des::{us, Cmp, Engine, SignalOp, SimError, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{mpsc, Arc};
@@ -38,24 +38,6 @@ fn run_panic_message(engine: Engine) -> String {
 
 fn at_us(t: f64) -> SimTime {
     SimTime::ZERO + us(t)
-}
-
-#[test]
-fn call_panic_on_the_run_thread_is_reraised() {
-    let engine = Engine::new();
-    engine.spawn("caller", |ctx| {
-        ctx.schedule_call(us(10.0), || panic!("call panicked on the run thread"));
-        ctx.advance(us(20.0));
-    });
-    // The window stops inside the caller's loop, before the call is due;
-    // the next run pops the call on the run's own thread.
-    assert_eq!(
-        engine.run_until(at_us(5.0)).unwrap(),
-        RunStatus::Idle {
-            next: Some(at_us(10.0))
-        }
-    );
-    assert_eq!(run_panic_message(engine), "call panicked on the run thread");
 }
 
 #[test]
@@ -181,39 +163,27 @@ fn timeout_fire_resumes_the_timed_out_agent() {
 }
 
 #[test]
-fn window_ending_in_an_agents_loop_resumes_to_the_same_end() {
-    fn build() -> Engine {
-        let engine = Engine::new();
-        let f = engine.flag(0);
-        engine.spawn("producer", move |ctx| {
-            for i in 1..=5 {
-                ctx.advance(us(10.0));
-                ctx.signal(f, SignalOp::Set, i);
+fn a_failed_engine_returns_its_error_again() {
+    let engine = Engine::new();
+    engine.spawn("parent", |ctx| {
+        // The child's first resume is still queued when the parent fails.
+        ctx.spawn("child", |ctx| ctx.advance(us(1.0)));
+        panic!("parent failed");
+    });
+    let first = engine.run().unwrap_err();
+    let second = engine.run().unwrap_err();
+    for err in [&first, &second] {
+        match err {
+            SimError::AgentPanic { agent, message } => {
+                assert_eq!(
+                    (agent.as_str(), message.as_str()),
+                    ("parent", "parent failed")
+                );
             }
-        });
-        engine.spawn("consumer", move |ctx| {
-            for i in 1..=5 {
-                ctx.wait_flag(f, Cmp::Ge, i);
-                ctx.advance(us(3.0));
-            }
-        });
-        engine
-    }
-    let whole = build();
-    let end = whole.run().unwrap();
-
-    let windowed = build();
-    // At 33 µs the consumer blocks and its loop meets the limit.
-    assert_eq!(
-        windowed.run_until(at_us(35.0)).unwrap(),
-        RunStatus::Idle {
-            next: Some(at_us(40.0))
+            other => panic!("expected an agent panic, got {other:?}"),
         }
-    );
-    assert_eq!(windowed.now(), at_us(33.0));
-    assert_eq!(windowed.run().unwrap(), end);
-    assert_eq!(windowed.events_processed(), whole.events_processed());
-    assert_eq!(end, at_us(53.0));
+    }
+    assert_eq!(first.to_string(), second.to_string());
 }
 
 #[test]
@@ -289,29 +259,19 @@ fn agent_captures_and_the_engine_are_freed_on_drop() {
     assert_eq!(dropped.load(AtomicOrdering::SeqCst), 2);
     assert!(pool.upgrade().is_none(), "the deadlocked engine leaked");
 
-    // An agent suspended at the end of a window, and one never started.
+    // An agent never started: the engine is dropped without a run.
     let engine = Engine::new();
     let pool = Arc::downgrade(&engine.pool());
-    let (waiting, never) = (counted(), counted());
-    engine.spawn("waiting", move |ctx| {
-        let _waiting = waiting;
-        ctx.advance(us(10.0));
-    });
-    assert_eq!(
-        engine.run_until(at_us(5.0)).unwrap(),
-        RunStatus::Idle {
-            next: Some(at_us(10.0))
-        }
-    );
+    let never = counted();
     let never_started = Arc::clone(&started);
     engine.spawn("never", move |_| {
         let _never = never;
         never_started.fetch_add(1, AtomicOrdering::SeqCst);
     });
     drop(engine);
-    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 4);
+    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 3);
     assert_eq!(started.load(AtomicOrdering::SeqCst), 0);
-    assert!(pool.upgrade().is_none(), "the windowed engine leaked");
+    assert!(pool.upgrade().is_none(), "the unrun engine leaked");
 
     // A child left unstarted by an abort, and a clean run.
     let engine = Engine::new();
@@ -329,7 +289,7 @@ fn agent_captures_and_the_engine_are_freed_on_drop() {
     });
     assert!(matches!(engine.run(), Err(SimError::Timeout { .. })));
     drop(engine);
-    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 6);
+    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 5);
     assert_eq!(started.load(AtomicOrdering::SeqCst), 0);
     assert!(pool.upgrade().is_none(), "the aborted engine leaked");
 
@@ -342,7 +302,7 @@ fn agent_captures_and_the_engine_are_freed_on_drop() {
     });
     engine.run().unwrap();
     drop(engine);
-    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 7);
+    assert_eq!(dropped.load(AtomicOrdering::SeqCst), 6);
     assert!(pool.upgrade().is_none(), "the finished engine leaked");
 }
 
